@@ -4,16 +4,13 @@ The protocol per model: simulate a large ensemble on the actual graph, fit the
 model, sample networks from it, run epidemics on every sampled network, then
 compare mean curves by the area metric alongside likelihood and parameter
 count. All randomness derives from (master_seed, branch, indices), so results
-never depend on worker count or scheduling.
+never depend on execution order.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -26,6 +23,7 @@ from .metrics import (
     MeanCurves,
     QualityRow,
     area_between,
+    counts_to_curves,
     quality_table,
     render_quality_table,
     write_curves_csv,
@@ -44,7 +42,6 @@ from .seeding import derived_rng
 from .sir import SirParams, simulate_sir, write_trajectories_csv
 
 TOOL_VERSION = "0.1.0"
-THREADS_ENV_VAR = "CONTACTNET_THREADS"
 
 MODEL_VARIANTS = ("er", "degree", "sbm", "dcsbm")
 DATASET_FORMATS = ("edge_list", "contacts", "attendance")
@@ -54,8 +51,6 @@ AREA_AVERAGING = ("pooled", "per_network")
 _BRANCH_ACTUAL = 0
 _BRANCH_SAMPLE = 1
 _BRANCH_EPIDEMIC = 2
-
-_RUN_BLOCK = 256  # fixed chunk size so partitioning never depends on worker count
 
 
 @dataclass(frozen=True)
@@ -136,6 +131,26 @@ def _take(data: dict, context: str, known: tuple[str, ...]) -> None:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
 
 
+_TYPE_CHECKS = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+}
+
+
+def _typed(cls, data: dict, context: str):
+    """cls(**data), after checking bool, int and float fields against their annotations."""
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        if f.name not in data or kind not in _TYPE_CHECKS:
+            continue
+        value = data[f.name]
+        check, expected = _TYPE_CHECKS[kind]
+        if not check(value) and not (optional == "None" and value is None):
+            raise ConfigError(f"{context}.{f.name} must be {expected}, got {value!r}")
+    return cls(**data)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the documented JSON schema, strictly."""
     if not isinstance(data, dict):
@@ -155,22 +170,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             _take(spectral_data, "spectral config",
                   tuple(f.name for f in fields(SpectralConfig)))
             kwargs = {k: v for k, v in entry.items() if k != "spectral"}
-            model_specs.append(ModelSpec(spectral=SpectralConfig(**spectral_data), **kwargs))
+            spectral = _typed(SpectralConfig, spectral_data, "spectral")
+            model_specs.append(ModelSpec(spectral=spectral, **kwargs))
 
         metrics_data = data.get("metrics", {})
         _take(metrics_data, "metrics", ("quadrature", "clustering_mode", "area_averaging"))
 
-        return ExperimentConfig(
+        return _typed(ExperimentConfig, dict(
             dataset_path=str(dataset["path"]),
             dataset_format=dataset.get("format", "edge_list"),
             models=tuple(model_specs),
-            sir=SirParams(**data.get("sir", {})),
-            ensemble=EnsembleConfig(**data.get("ensemble", {})),
-            master_seed=int(data.get("master_seed", 0)),
+            sir=_typed(SirParams, data.get("sir", {}), "sir"),
+            ensemble=_typed(EnsembleConfig, data.get("ensemble", {}), "ensemble"),
+            master_seed=data.get("master_seed", 0),
             output_dir=str(data.get("output_dir", "results")),
-            save_trajectories=bool(data.get("save_trajectories", False)),
+            save_trajectories=data.get("save_trajectories", False),
             **{k: metrics_data[k] for k in metrics_data},
-        )
+        ), "config")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 
@@ -239,66 +255,21 @@ def dataset_stats(path: str, fmt: str = "edge_list") -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be at least 1")
-    return value
+def _ensemble_counts(g: Graph, params: SirParams, runs: int, seed_path, keep: bool):
+    """Summed S/I/R counts over `runs` epidemics; run r seeded by (*seed_path, r).
 
-
-def _indexed_map(fn, count: int, workers: int) -> list:
-    """Run fn(0..count-1), results ordered by index regardless of scheduling."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    results = [None] * count
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, i): i for i in range(count)}
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-    return results
-
-
-def _count_block(g: Graph, params: SirParams, seed_path, run_range, keep: bool):
-    sums = np.zeros((3, params.steps + 1), dtype=np.int64)
+    The trajectories come back too, in run order, when `keep` is set.
+    """
+    totals = np.zeros((3, params.steps + 1), dtype=np.int64)
     kept = [] if keep else None
-    for r in run_range:
+    for r in range(runs):
         traj = simulate_sir(g, params, derived_rng(*seed_path, r))
-        sums[0] += traj.s_counts
-        sums[1] += traj.i_counts
-        sums[2] += traj.r_counts
+        totals[0] += traj.s_counts
+        totals[1] += traj.i_counts
+        totals[2] += traj.r_counts
         if keep:
             kept.append(traj)
-    return sums, kept
-
-
-def _ensemble_counts(g, params, runs, seed_path, workers, keep=False):
-    """Summed compartment counts over `runs` epidemics; run r seeded by (*seed_path, r)."""
-    n_blocks = math.ceil(runs / _RUN_BLOCK)
-
-    def block(bi):
-        lo = bi * _RUN_BLOCK
-        return _count_block(g, params, seed_path, range(lo, min(runs, lo + _RUN_BLOCK)), keep)
-
-    parts = _indexed_map(block, n_blocks, workers)
-    totals = np.zeros((3, params.steps + 1), dtype=np.int64)
-    trajectories = [] if keep else None
-    for sums, kept in parts:
-        totals += sums
-        if keep:
-            trajectories.extend(kept)
-    return totals, trajectories
-
-
-def _counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
-    denom = runs * population
-    return MeanCurves(totals[0] / denom, totals[1] / denom, totals[2] / denom,
-                      runs, population)
+    return totals, kept
 
 
 def fit_model(g: Graph, spec: ModelSpec):
@@ -355,30 +326,24 @@ class ResultsReport:
         }
 
 
-def _evaluate_model(g, spec, model_index, config, workers, actual, keep):
-    model = fit_model(g, spec)
+def _evaluate_model(g, spec, model, model_index, config, actual, keep):
     ens = config.ensemble
-    sir = config.sir
     seed = config.master_seed
-
-    def one_network(ni):
-        sampled = sample_graph(model, derived_rng(seed, _BRANCH_SAMPLE, model_index, ni))
-        return _count_block(
-            sampled, sir, (seed, _BRANCH_EPIDEMIC, model_index, ni),
-            range(ens.runs_per_network), keep,
+    per_network = [
+        _ensemble_counts(
+            sample_graph(model, derived_rng(seed, _BRANCH_SAMPLE, model_index, ni)),
+            config.sir, ens.runs_per_network, (seed, _BRANCH_EPIDEMIC, model_index, ni), keep,
         )
-
-    per_network = _indexed_map(one_network, ens.sampled_networks, workers)
-    totals = np.zeros((3, sir.steps + 1), dtype=np.int64)
-    for sums, _ in per_network:
-        totals += sums
-    pooled = _counts_to_curves(totals, ens.sampled_networks * ens.runs_per_network, g.n_nodes)
+        for ni in range(ens.sampled_networks)
+    ]
+    totals = sum(sums for sums, _ in per_network)
+    pooled = counts_to_curves(totals, ens.sampled_networks * ens.runs_per_network, g.n_nodes)
 
     if config.area_averaging == "pooled":
         area = area_between(pooled, actual, quadrature=config.quadrature)
     else:
         areas = [
-            area_between(_counts_to_curves(sums, ens.runs_per_network, g.n_nodes),
+            area_between(counts_to_curves(sums, ens.runs_per_network, g.n_nodes),
                          actual, quadrature=config.quadrature)
             for sums, _ in per_network
         ]
@@ -404,24 +369,21 @@ def _evaluate_model(g, spec, model_index, config, workers, actual, keep):
 def run_experiment(config: ExperimentConfig) -> ResultsReport:
     """Execute the full protocol and write artifacts to config.output_dir."""
     started = time.perf_counter()
-    workers = _worker_count()
     g = read_graph(config.dataset_path, config.dataset_format)
     _validate_against_graph(config, g)
 
-    # fitting is deterministic and cheap relative to simulation; doing it first
-    # surfaces fit errors before any epidemic runs
-    for spec in config.models:
-        fit_model(g, spec)
+    # fitting first surfaces fit errors before any epidemic runs
+    models = [fit_model(g, spec) for spec in config.models]
 
     keep = config.save_trajectories
     actual_totals, actual_trajs = _ensemble_counts(
-        g, config.sir, config.ensemble.actual_runs,
-        (config.master_seed, _BRANCH_ACTUAL), workers, keep,
+        g, config.sir, config.ensemble.actual_runs, (config.master_seed, _BRANCH_ACTUAL), keep,
     )
-    actual = _counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)
+    actual = counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)
 
+    # popped, not iterated, so no model's cached N x N matrix outlives its evaluation
     results = [
-        _evaluate_model(g, spec, mi, config, workers, actual, keep)
+        _evaluate_model(g, spec, models.pop(0), mi, config, actual, keep)
         for mi, spec in enumerate(config.models)
     ]
 

@@ -72,9 +72,14 @@ def mean_curves(trajectories, population: int) -> MeanCurves:
         sums[0] += traj.s_counts
         sums[1] += traj.i_counts
         sums[2] += traj.r_counts
-    denom = len(trajectories) * population
-    return MeanCurves(sums[0] / denom, sums[1] / denom, sums[2] / denom,
-                      len(trajectories), population)
+    return counts_to_curves(sums, len(trajectories), population)
+
+
+def counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
+    """Mean curves from S/I/R count sums (rows of `totals`) over `runs` runs."""
+    denom = runs * population
+    return MeanCurves(totals[0] / denom, totals[1] / denom, totals[2] / denom,
+                      runs, population)
 
 
 def area_between(a: MeanCurves, b: MeanCurves, quadrature: str = "trapezoid") -> float:
@@ -114,7 +119,6 @@ class QualityRow:
     area: float
     neg_log_likelihood_per_pair: float
     parameter_count: int
-    dataset: str = ""
 
     def __post_init__(self):
         if self.area < 0:
@@ -124,66 +128,34 @@ class QualityRow:
 _MEASURES = ("area", "neg_log_likelihood_per_pair", "parameter_count")
 
 
-def _averaged_rows(rows: list[QualityRow]) -> list[QualityRow]:
-    """Per-model averages across datasets, in first-appearance model order."""
-    order: list[str] = []
-    groups: dict[str, list[QualityRow]] = {}
-    for row in rows:
-        groups.setdefault(row.model_name, []).append(row)
-        if row.model_name not in order:
-            order.append(row.model_name)
-    out = []
-    for name in order:
-        members = groups[name]
-        out.append(QualityRow(
-            name,
-            sum(r.area for r in members) / len(members),
-            sum(r.neg_log_likelihood_per_pair for r in members) / len(members),
-            round(sum(r.parameter_count for r in members) / len(members)),
-            dataset="average",
-        ))
-    return out
-
-
 def _minima(rows: list[QualityRow]) -> dict[str, float]:
     return {m: min(getattr(r, m) for r in rows) for m in _MEASURES}
 
 
 def quality_table(rows: list[QualityRow]) -> dict:
-    """JSON-able fragment: rows, cross-dataset averages when applicable, minima marks."""
+    """JSON-able fragment: one entry per row, with the per-measure minima marked."""
     rows = list(rows)
-    datasets = {r.dataset for r in rows}
-    averages = _averaged_rows(rows) if len(datasets) > 1 else None
-    marked = averages if averages is not None else rows
-    minima = _minima(marked) if marked else {}
-
-    def row_dict(r: QualityRow, mark_against) -> dict:
-        d = {
+    minima = _minima(rows) if rows else {}
+    return {"rows": [
+        {
             "model": r.model_name,
             "area": r.area,
             "neg_log_likelihood_per_pair": r.neg_log_likelihood_per_pair,
             "parameter_count": r.parameter_count,
+            "is_minimum": {m: getattr(r, m) == minima[m] for m in _MEASURES},
         }
-        if r.dataset:
-            d["dataset"] = r.dataset
-        if mark_against:
-            d["is_minimum"] = {m: getattr(r, m) == mark_against[m] for m in _MEASURES}
-        return d
-
-    fragment = {"rows": [row_dict(r, minima if averages is None else None) for r in rows]}
-    if averages is not None:
-        fragment["averages"] = [row_dict(r, minima) for r in averages]
-    return fragment
+        for r in rows
+    ]}
 
 
-def _fmt_measure(value: float, minimum: float, mark: bool, integer: bool = False) -> str:
+def _fmt_measure(value: float, minimum: float, integer: bool = False) -> str:
     if math.isinf(value):
         text = "inf"
     elif integer:
         text = str(int(value))
     else:
         text = f"{value:.6f}"
-    if mark and value == minimum:
+    if value == minimum:
         text += " *"
     return text
 
@@ -191,36 +163,19 @@ def _fmt_measure(value: float, minimum: float, mark: bool, integer: bool = False
 def render_quality_table(rows: list[QualityRow]) -> str:
     """Aligned-text rendering; '*' marks the best (lowest) value per measure."""
     rows = list(rows)
-    datasets = {r.dataset for r in rows}
-    multi = len(datasets) > 1
-    sections: list[tuple[str, list[QualityRow], bool]] = [("", rows, not multi)]
-    if multi:
-        sections.append(("averages over datasets", _averaged_rows(rows), True))
-
-    lines = []
-    header = (["dataset"] if multi else []) + [
-        "model", "area_between_sir_curves", "neg_log_likelihood_per_pair", "parameter_count",
-    ]
-    for title, section_rows, mark in sections:
-        minima = _minima(section_rows) if section_rows else {}
-        if title:
-            lines.append("")
-            lines.append(f"# {title}")
-        table = [header]
-        for r in section_rows:
-            cells = [r.dataset] if multi else []
-            cells += [
-                r.model_name,
-                _fmt_measure(r.area, minima.get("area", math.nan), mark),
-                _fmt_measure(r.neg_log_likelihood_per_pair,
-                             minima.get("neg_log_likelihood_per_pair", math.nan), mark),
-                _fmt_measure(float(r.parameter_count),
-                             minima.get("parameter_count", math.nan), mark, integer=True),
-            ]
-            table.append(cells)
-        widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-        for row in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    minima = _minima(rows) if rows else {}
+    table = [["model", "area_between_sir_curves", "neg_log_likelihood_per_pair",
+              "parameter_count"]]
+    for r in rows:
+        table.append([
+            r.model_name,
+            _fmt_measure(r.area, minima["area"]),
+            _fmt_measure(r.neg_log_likelihood_per_pair, minima["neg_log_likelihood_per_pair"]),
+            _fmt_measure(float(r.parameter_count), minima["parameter_count"], integer=True),
+        ])
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in table]
     return "\n".join(lines) + "\n"
 
 

@@ -41,21 +41,21 @@ class EdgeProbabilityModel:
 
     def probability_matrix(self) -> np.ndarray:
         """Full N x N symmetric probability matrix with a zero diagonal (read-only)."""
-        return self._cached_matrix
+        return self._built[0]
 
-    @cached_property
-    def _cached_matrix(self) -> np.ndarray:
-        m = np.minimum(1.0, self._matrix())
-        np.fill_diagonal(m, 0.0)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
+    @property
     def capped(self) -> bool:
         """True when some pair's raw formula value exceeded 1 and was capped."""
-        raw = self._matrix()
-        np.fill_diagonal(raw, 0.0)
-        return bool(np.any(raw > 1.0))
+        return self._built[1]
+
+    @cached_property
+    def _built(self) -> tuple[np.ndarray, bool]:
+        m = self._matrix()
+        np.fill_diagonal(m, 0.0)
+        capped = bool(np.any(m > 1.0))
+        np.minimum(m, 1.0, out=m)
+        m.setflags(write=False)
+        return m, capped
 
     def parameter_count(self) -> int:
         raise NotImplementedError

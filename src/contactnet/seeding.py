@@ -2,7 +2,7 @@
 
 Every random stream in the package is derived from a master seed plus an
 integer index path (a counter-based split, never sequential reseeding), so
-results are independent of scheduling and worker count.
+results are independent of execution order.
 """
 
 from __future__ import annotations

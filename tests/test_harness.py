@@ -27,7 +27,7 @@ from contactnet import (
     run_experiment,
     write_edge_list,
 )
-from contactnet.harness import _worker_count
+import contactnet.harness as harness
 
 TWO_CLIQUES = Graph(
     12,
@@ -139,19 +139,6 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(path))
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CONTACTNET_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("CONTACTNET_THREADS", "4")
-    assert _worker_count() == 4
-    monkeypatch.setenv("CONTACTNET_THREADS", "0")
-    with pytest.raises(ConfigError):
-        _worker_count()
-    monkeypatch.setenv("CONTACTNET_THREADS", "many")
-    with pytest.raises(ConfigError):
-        _worker_count()
-
-
 def test_dataset_stats_worked_example(tmp_path):
     path = tmp_path / "k4.edges"
     path.write_text("a b\na c\na d\nb c\nb d\nc d\n")
@@ -215,17 +202,6 @@ def test_run_experiment_saves_trajectories_when_asked(dataset, tmp_path):
         assert files == ["network_000.csv", "network_001.csv", "network_002.csv"]
 
 
-def test_run_experiment_is_deterministic_across_worker_counts(dataset, tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    outputs = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("CONTACTNET_THREADS", workers)
-        run_experiment(small_config(dataset, str(out)))
-        outputs.append({name: (out / name).read_bytes()
-                        for name in sorted(os.listdir(out))})
-    assert outputs[0] == outputs[1]
-
-
 def test_run_experiment_validates_before_simulating(dataset, tmp_path):
     bad = small_config(dataset, str(tmp_path / "x"),
                        sir=SirParams(0.3, 0.2, steps=6, initial_infectious=100))
@@ -243,6 +219,37 @@ def test_run_experiment_per_network_averaging(dataset, tmp_path):
     report = run_experiment(small_config(dataset, str(tmp_path / "pn"),
                                          area_averaging="per_network"))
     assert all(row.area >= 0 for row in report.rows)
+
+
+def _count_calls(monkeypatch, name, counts):
+    fn = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+
+
+def test_run_experiment_fits_each_model_once(dataset, tmp_path, monkeypatch):
+    counts = {}
+    for name in ("fit_er", "fit_degree", "fit_sbm", "fit_dcsbm", "spectral_cluster"):
+        _count_calls(monkeypatch, name, counts)
+    run_experiment(small_config(dataset, str(tmp_path / "once")))
+    assert counts == {"fit_er": 1, "fit_degree": 1, "fit_sbm": 1, "fit_dcsbm": 1,
+                      "spectral_cluster": 2}
+
+
+def test_run_experiment_fit_error_stops_before_any_epidemic(dataset, tmp_path, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise FitError("planted failure")
+
+    counts = {}
+    _count_calls(monkeypatch, "simulate_sir", counts)
+    monkeypatch.setattr(harness, "fit_dcsbm", failing_fit)
+    with pytest.raises(FitError):
+        run_experiment(small_config(dataset, str(tmp_path / "fail")))
+    assert counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +356,7 @@ def test_cli_experiment_end_to_end(dataset, tmp_path, capsys):
     assert (tmp_path / "res2" / "report.json").exists()
 
 
-def test_cli_exit_codes(dataset, tmp_path, capsys, monkeypatch):
+def test_cli_exit_codes(dataset, tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path / "missing.edges")]) == 2
     assert cli.main(["frobnicate", dataset]) == 1
     assert cli.main(["fit", dataset, "--model", "hyper"]) == 1
@@ -366,20 +373,31 @@ def test_cli_exit_codes(dataset, tmp_path, capsys, monkeypatch):
     bad_cfg.write_text(json.dumps({"dataset": {"path": dataset}, "typo": True}))
     assert cli.main(["experiment", str(bad_cfg)]) == 1
 
-    ok_cfg = tmp_path / "ok_cfg.json"
-    ok_cfg.write_text(json.dumps({
-        "dataset": {"path": dataset},
-        "ensemble": {"actual_runs": 2, "sampled_networks": 1, "runs_per_network": 1},
-        "sir": {"steps": 2},
-        "output_dir": str(tmp_path / "never"),
-    }))
-    monkeypatch.setenv("CONTACTNET_THREADS", "zero")
-    assert cli.main(["experiment", str(ok_cfg)]) == 1
-    monkeypatch.delenv("CONTACTNET_THREADS")
-
     # numerical failure: zero regularization with an isolated node
     lonely = tmp_path / "lonely.edges"
     lonely.write_text("%N 3\na b\n")
     assert cli.main(["fit", str(lonely), "--model", "sbm",
                      "--regularization", "0"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"save_trajectories": "false"},
+    {"sir": {"steps": 2.5}},
+    {"ensemble": {"actual_runs": 2.5}},
+    {"master_seed": 1.7},
+])
+def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, overrides):
+    cfg = {
+        "dataset": {"path": dataset},
+        "sir": {"steps": 2},
+        "ensemble": {"actual_runs": 2, "sampled_networks": 1, "runs_per_network": 1},
+        "output_dir": str(tmp_path / "never"),
+    }
+    cfg.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
