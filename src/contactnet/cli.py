@@ -24,10 +24,11 @@ from .harness import (
     fit_model,
     load_config,
     run_experiment,
+    simulate_ensemble,
 )
 from .metrics import (
     area_between,
-    mean_curves,
+    counts_to_curves,
     read_curves_csv,
     render_quality_table,
     write_curves_csv,
@@ -35,14 +36,14 @@ from .metrics import (
 from .models import (
     DCSBM_MODES,
     DEGREE_MODES,
-    fit_report,
     load_model,
+    log_likelihood_per_pair,
     model_to_dict,
     sample_graph,
     save_model,
 )
 from .seeding import derived_rng, derived_seed
-from .sir import SirParams, simulate_ensemble, write_trajectories_csv
+from .sir import SirParams, write_trajectories_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +101,10 @@ def cmd_fit(args) -> int:
     g = read_graph(args.path, args.format)
     spec = _spec_from_args(args)
     model = fit_model(g, spec)
-    report = fit_report(model, g)
     for key, value in (
         ("variant", model.variant),
-        ("parameter_count", report.parameter_count),
-        ("log_likelihood_per_pair", report.log_likelihood_per_pair),
+        ("parameter_count", model.parameter_count()),
+        ("log_likelihood_per_pair", log_likelihood_per_pair(model, g)),
         ("communities", getattr(model, "k", None)),
         ("capped", model.capped),
     ):
@@ -152,8 +152,9 @@ def cmd_simulate(args) -> int:
     else:
         g = read_graph(args.path, args.format)
         ensemble_seed = args.seed
-    trajectories = simulate_ensemble(g, params, args.runs, ensemble_seed)
-    curves = mean_curves(trajectories, g.n_nodes)
+    totals, trajectories = simulate_ensemble(
+        g, params, args.runs, (ensemble_seed,), keep=bool(args.trajectories_out))
+    curves = counts_to_curves(totals, args.runs, g.n_nodes)
     if args.curves_out:
         with open(args.curves_out, "w", encoding="utf-8") as fh:
             write_curves_csv(curves, fh)

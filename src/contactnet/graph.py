@@ -337,9 +337,8 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 
 def _triangles_per_node(g: Graph) -> np.ndarray:
-    # Dense is fine at the target sizes (N <= ~1200).
-    a = g.adjacency_matrix(dense=True)
-    return ((a @ a) * a).sum(axis=1) / 2.0
+    a = g.adjacency_matrix()
+    return np.asarray((a @ a).multiply(a).sum(axis=1), dtype=float).ravel() / 2.0
 
 
 def clustering_coefficient(g: Graph, mode: str = "average_local") -> float:

@@ -68,6 +68,10 @@ class ModelSpec:
             raise ValueError(f"unknown degree mode {self.degree_mode!r}")
         if self.dcsbm_mode not in DCSBM_MODES:
             raise ValueError(f"unknown dcsbm mode {self.dcsbm_mode!r}")
+        if self.name == "actual":
+            raise ValueError("model name 'actual' is reserved for the actual-graph curves")
+        if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"model name {self.name!r} cannot serve as a file name")
 
     @property
     def display_name(self) -> str:
@@ -132,6 +136,7 @@ def _take(data: dict, context: str, known: tuple[str, ...]) -> None:
 
 
 _TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
@@ -171,7 +176,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                   tuple(f.name for f in fields(SpectralConfig)))
             kwargs = {k: v for k, v in entry.items() if k != "spectral"}
             spectral = _typed(SpectralConfig, spectral_data, "spectral")
-            model_specs.append(ModelSpec(spectral=spectral, **kwargs))
+            model_specs.append(_typed(ModelSpec, dict(kwargs, spectral=spectral), "model"))
 
         metrics_data = data.get("metrics", {})
         _take(metrics_data, "metrics", ("quadrature", "clustering_mode", "area_averaging"))
@@ -255,11 +260,15 @@ def dataset_stats(path: str, fmt: str = "edge_list") -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
-def _ensemble_counts(g: Graph, params: SirParams, runs: int, seed_path, keep: bool):
+def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, keep: bool = False):
     """Summed S/I/R counts over `runs` epidemics; run r seeded by (*seed_path, r).
 
-    The trajectories come back too, in run order, when `keep` is set.
+    Returns (totals, trajectories): totals holds one row of count sums per
+    compartment, and the trajectories come back in run order only when `keep`
+    is set (None otherwise).
     """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     totals = np.zeros((3, params.steps + 1), dtype=np.int64)
     kept = [] if keep else None
     for r in range(runs):
@@ -330,7 +339,7 @@ def _evaluate_model(g, spec, model, model_index, config, actual, keep):
     ens = config.ensemble
     seed = config.master_seed
     per_network = [
-        _ensemble_counts(
+        simulate_ensemble(
             sample_graph(model, derived_rng(seed, _BRANCH_SAMPLE, model_index, ni)),
             config.sir, ens.runs_per_network, (seed, _BRANCH_EPIDEMIC, model_index, ni), keep,
         )
@@ -376,7 +385,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     models = [fit_model(g, spec) for spec in config.models]
 
     keep = config.save_trajectories
-    actual_totals, actual_trajs = _ensemble_counts(
+    actual_totals, actual_trajs = simulate_ensemble(
         g, config.sir, config.ensemble.actual_runs, (config.master_seed, _BRANCH_ACTUAL), keep,
     )
     actual = counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)

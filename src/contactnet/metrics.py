@@ -48,6 +48,8 @@ class MeanCurves:
         if self.n_runs < 0:
             raise ValueError("n_runs must be nonnegative")
         stack = np.stack(arrays)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("curve entries must be finite")
         if stack.min() < -1e-9 or stack.max() > 1 + 1e-9:
             raise ValueError("curve entries must be fractions in [0, 1]")
         total = stack.sum(axis=0)
@@ -56,23 +58,6 @@ class MeanCurves:
 
     def __len__(self):
         return len(self.s_frac)
-
-
-def mean_curves(trajectories, population: int) -> MeanCurves:
-    """Arithmetic mean of compartment counts across runs, as population fractions."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    length = len(trajectories[0].s_counts)
-    sums = np.zeros((3, length), dtype=np.int64)
-    for traj in trajectories:  # fixed run-index order; integer sums are exact
-        if len(traj.s_counts) != length:
-            raise ValueError("trajectories must all have the same length")
-        if int(traj.s_counts[0] + traj.i_counts[0] + traj.r_counts[0]) != population:
-            raise ValueError("trajectory population does not match")
-        sums[0] += traj.s_counts
-        sums[1] += traj.i_counts
-        sums[2] += traj.r_counts
-    return counts_to_curves(sums, len(trajectories), population)
 
 
 def counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
@@ -225,4 +210,7 @@ def read_curves_csv(lines) -> MeanCurves:
             raise ParseError("malformed curve row", lineno) from None
     if not s:
         raise ParseError("curves file holds no rows", 3)
-    return MeanCurves(np.array(s), np.array(i), np.array(r), n_runs, population)
+    try:
+        return MeanCurves(np.array(s), np.array(i), np.array(r), n_runs, population)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

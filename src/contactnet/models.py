@@ -26,18 +26,9 @@ DCSBM_MODES = ("exact", "plugin")
 
 
 class EdgeProbabilityModel:
-    """Behavior shared by all variants; subclasses define _pair and _matrix."""
+    """Behavior shared by all variants; subclasses define _matrix."""
 
     variant = ""
-
-    def edge_probability(self, i: int, j: int) -> float:
-        """Probability of the edge {i, j}, capped into [0, 1]. Symmetric in (i, j)."""
-        n = self.n_nodes
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"node index out of range for N={n}")
-        if i == j:
-            raise ValueError("edge probability is undefined for a node with itself")
-        return float(min(1.0, self._pair(i, j)))
 
     def probability_matrix(self) -> np.ndarray:
         """Full N x N symmetric probability matrix with a zero diagonal (read-only)."""
@@ -58,9 +49,6 @@ class EdgeProbabilityModel:
         return m, capped
 
     def parameter_count(self) -> int:
-        raise NotImplementedError
-
-    def _pair(self, i: int, j: int) -> float:
         raise NotImplementedError
 
     def _matrix(self) -> np.ndarray:
@@ -105,9 +93,6 @@ class ErModel(EdgeProbabilityModel):
     def parameter_count(self) -> int:
         return 1
 
-    def _pair(self, i, j):
-        return self.p
-
     def _matrix(self):
         return np.full((self.n_nodes, self.n_nodes), self.p)
 
@@ -136,9 +121,6 @@ class DegreeModel(EdgeProbabilityModel):
 
     def parameter_count(self) -> int:
         return self.n_nodes
-
-    def _pair(self, i, j):
-        return self.scale * self.degrees[i] * self.degrees[j]
 
     def _matrix(self):
         d = self.degrees.astype(float)
@@ -170,9 +152,6 @@ class SbmModel(EdgeProbabilityModel):
 
     def parameter_count(self) -> int:
         return self.n_nodes + self.k * (self.k + 1) // 2
-
-    def _pair(self, i, j):
-        return self.block_probs[self.assignments[i], self.assignments[j]]
 
     def _matrix(self):
         return self.block_probs[self.assignments][:, self.assignments].copy()
@@ -217,10 +196,6 @@ class DcsbmModel(EdgeProbabilityModel):
 
     def parameter_count(self) -> int:
         return 2 * self.n_nodes + self.k * (self.k + 1) // 2
-
-    def _pair(self, i, j):
-        a, b = self.assignments[i], self.assignments[j]
-        return self.degree_share[i] * self.degree_share[j] * self.block_rates[a, b]
 
     def _matrix(self):
         rates = self.block_rates[self.assignments][:, self.assignments]
@@ -369,22 +344,6 @@ def log_likelihood_per_pair(model: EdgeProbabilityModel, g: Graph) -> float:
     with np.errstate(divide="ignore"):
         terms = np.where(present, np.log(probs), np.log1p(-probs))
     return float(terms.sum() / math.comb(n, 2))
-
-
-@dataclass(frozen=True)
-class ModelFitReport:
-    parameter_count: int
-    log_likelihood_per_pair: float
-    fit_mode_flags: dict
-
-
-def fit_report(model: EdgeProbabilityModel, g: Graph) -> ModelFitReport:
-    flags = {
-        "variant": model.variant,
-        "mode": getattr(model, "mode", None),
-        "capped": model.capped,
-    }
-    return ModelFitReport(model.parameter_count(), log_likelihood_per_pair(model, g), flags)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from .graph import Graph
 from .metrics import MeanCurves
-from .seeding import derived_rng
 
 ORACLE_MAX_NODES = 8
 ORACLE_MAX_STEPS = 6
@@ -127,20 +126,6 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
         i_counts[t + 1] = np.count_nonzero(is_i)
         r_counts[t + 1] = n - s_counts[t + 1] - i_counts[t + 1]
     return Trajectory(s_counts, i_counts, r_counts)
-
-
-def simulate_ensemble(g: Graph, params: SirParams, runs: int, master_seed: int,
-                      initial_nodes=None) -> list[Trajectory]:
-    """Independent runs; run r uses a stream derived from (master_seed, r).
-
-    Results are indexed by run and independent of execution order.
-    """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    return [
-        simulate_sir(g, params, derived_rng(master_seed, r), initial_nodes)
-        for r in range(runs)
-    ]
 
 
 def write_trajectories_csv(trajectories, stream) -> None:

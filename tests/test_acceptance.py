@@ -8,6 +8,7 @@ import contextlib
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from contactnet import (
     SirParams,
     SpectralConfig,
     area_between,
+    counts_to_curves,
     dataset_stats,
     derived_rng,
     exact_sir_expected_curves,
@@ -31,10 +33,8 @@ from contactnet import (
     fit_sbm,
     fit_dcsbm,
     log_likelihood_per_pair,
-    mean_curves,
     run_experiment,
     sample_graph,
-    simulate_ensemble,
     simulate_sir,
     spectral_cluster,
     write_edge_list,
@@ -142,9 +142,10 @@ def test_criterion_3_oracle_agreement():
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for g in (k3, p4):
             exact = exact_sir_expected_curves(g, params, [0])
-            runs = simulate_ensemble(g, params, 100_000, master_seed=33,
-                                     initial_nodes=[0])
-            sampled = mean_curves(runs, g.n_nodes)
+            runs = [simulate_sir(g, params, derived_rng(33, r), initial_nodes=[0])
+                    for r in range(100_000)]
+            totals = np.sum([[t.s_counts, t.i_counts, t.r_counts] for t in runs], axis=0)
+            sampled = counts_to_curves(totals, len(runs), g.n_nodes)
             assert np.max(np.abs(sampled.s_frac - exact.s_frac)) <= 0.01
             assert np.max(np.abs(sampled.i_frac - exact.i_frac)) <= 0.01
             assert np.max(np.abs(sampled.r_frac - exact.r_frac)) <= 0.01
@@ -287,7 +288,7 @@ def test_criterion_8_determinism(tmp_path):
                 for name in files:
                     path = os.path.join(root, name)
                     snapshot[os.path.relpath(path, tmp_path / "out")] = \
-                        open(path, "rb").read()
+                        Path(path).read_bytes()
             snapshots.append(snapshot)
         assert sorted(snapshots[0]) == sorted(snapshots[1])
         for name in snapshots[0]:

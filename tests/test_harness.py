@@ -73,6 +73,9 @@ def test_defaults_match_protocol():
 def test_model_spec_validation():
     assert ModelSpec("er").display_name == "er"
     assert ModelSpec("sbm", name="blocks").display_name == "blocks"
+    for bad_name in ("actual", ".", "..", "a/b", "a\\b"):
+        with pytest.raises(ValueError):
+            ModelSpec("er", name=bad_name)
     with pytest.raises(ValueError):
         ModelSpec("configuration")
     with pytest.raises(ValueError):
@@ -240,6 +243,19 @@ def test_run_experiment_fits_each_model_once(dataset, tmp_path, monkeypatch):
                       "spectral_cluster": 2}
 
 
+def test_run_experiment_simulates_through_module_names(dataset, tmp_path, monkeypatch):
+    # the traced benchmark wraps these names; a call that bypasses them drops a layer
+    counts = {}
+    for name in ("simulate_sir", "derived_rng"):
+        _count_calls(monkeypatch, name, counts)
+    config = small_config(dataset, str(tmp_path / "calls"))
+    run_experiment(config)
+    ens = config.ensemble
+    sampled = len(config.models) * ens.sampled_networks
+    assert counts["simulate_sir"] == ens.actual_runs + sampled * ens.runs_per_network
+    assert counts["derived_rng"] == counts["simulate_sir"] + sampled
+
+
 def test_run_experiment_fit_error_stops_before_any_epidemic(dataset, tmp_path, monkeypatch):
     def failing_fit(*args, **kwargs):
         raise FitError("planted failure")
@@ -365,6 +381,11 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     bad_lines.write_text("a b c\n")
     assert cli.main(["stats", str(bad_lines)]) == 2
 
+    capsys.readouterr()
+    assert cli.main(["simulate", dataset, "--runs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
     bad_model = tmp_path / "bad.json"
     bad_model.write_text("{nope")
     assert cli.main(["simulate", str(bad_model), "--runs", "2"]) == 2
@@ -386,6 +407,10 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     {"sir": {"steps": 2.5}},
     {"ensemble": {"actual_runs": 2.5}},
     {"master_seed": 1.7},
+    {"models": [{"variant": "er", "name": 3}]},
+    {"models": [{"variant": "er", "name": "../x"}]},
+    {"models": [{"variant": "er", "name": "a/b"}]},
+    {"models": [{"variant": "er", "name": "actual"}], "save_trajectories": True},
 ])
 def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, overrides):
     cfg = {

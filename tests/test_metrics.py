@@ -11,9 +11,8 @@ from contactnet import (
     MeanCurves,
     ParseError,
     QualityRow,
-    Trajectory,
     area_between,
-    mean_curves,
+    counts_to_curves,
     quality_table,
     read_curves_csv,
     render_quality_table,
@@ -32,7 +31,7 @@ def random_curves(rng, length, population=10):
                   population=population)
 
 
-def test_mean_curves_validation():
+def test_curves_validation():
     with pytest.raises(ValueError):
         curves([1.0, 0.9], [0.0, 0.0], [0.0, 0.0])  # leaks mass at t=1
     with pytest.raises(ValueError):
@@ -40,13 +39,14 @@ def test_mean_curves_validation():
     with pytest.raises(ValueError):
         curves([], [], [])
     with pytest.raises(ValueError):
-        mean_curves([], 4)
+        curves([1.0, math.nan], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        curves([1.0, math.inf], [0.0, -math.inf], [0.0, 0.0])
 
 
-def test_mean_curves_worked_example():
-    t1 = Trajectory(np.array([3, 1]), np.array([1, 3]), np.array([0, 0]))
-    t2 = Trajectory(np.array([3, 3]), np.array([1, 1]), np.array([0, 0]))
-    mc = mean_curves([t1, t2], 4)
+def test_counts_to_curves_worked_example():
+    # two runs on 4 nodes: S counts (3, 1) and (3, 3), I counts (1, 3) and (1, 1)
+    mc = counts_to_curves(np.array([[6, 4], [2, 4], [0, 0]]), 2, 4)
     assert mc.s_frac.tolist() == [0.75, 0.5]
     assert mc.i_frac.tolist() == [0.25, 0.5]
     assert mc.r_frac.tolist() == [0.0, 0.0]
@@ -156,3 +156,7 @@ def test_curves_csv_rejects_malformed_input():
         read_curves_csv(["t,s,i,r", "0,1.0,0.0,0.0"])  # missing metadata header
     with pytest.raises(ParseError):
         read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,1.0,0.0"])
+    with pytest.raises(ParseError):
+        read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,nan,0.0,0.0"])
+    with pytest.raises(ParseError):
+        read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,inf,0.0,0.0"])

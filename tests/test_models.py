@@ -16,7 +16,6 @@ from contactnet import (
     fit_dcsbm,
     fit_degree,
     fit_er,
-    fit_report,
     fit_sbm,
     load_model,
     log_likelihood_per_pair,
@@ -249,15 +248,6 @@ def test_log_likelihood_worked_examples():
     # impossible observations send the likelihood to -inf
     assert log_likelihood_per_pair(ErModel(2, ("a", "b"), 0.0), Graph(2, [(0, 1)])) == -math.inf
     assert log_likelihood_per_pair(ErModel(2, ("a", "b"), 1.0), Graph(2)) == -math.inf
-
-
-def test_fit_report_carries_mode_flags():
-    report = fit_report(fit_degree(STAR4), STAR4)
-    assert report.parameter_count == 4
-    assert report.fit_mode_flags["variant"] == "degree"
-    assert report.fit_mode_flags["mode"] == "exact_sum"
-    assert report.fit_mode_flags["capped"] is False
-    assert report.log_likelihood_per_pair <= 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,9 @@ from contactnet import (
     Graph,
     SirParams,
     Trajectory,
+    counts_to_curves,
     derived_rng,
     exact_sir_expected_curves,
-    mean_curves,
     simulate_ensemble,
     simulate_sir,
     write_trajectories_csv,
@@ -42,6 +42,8 @@ def test_parameter_validation():
     assert len(simulate_sir(K2, SirParams(steps=0), np.random.default_rng(0))) == 1
     with pytest.raises(ValueError):
         simulate_sir(K2, SirParams(initial_infectious=5), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        simulate_ensemble(K2, SirParams(), 0, (0,))
 
 
 def test_certain_infection_travels_as_a_wavefront():
@@ -107,13 +109,18 @@ def test_same_seed_gives_identical_runs():
 
 def test_ensemble_runs_reproduce_single_run_streams():
     params = SirParams(0.5, 0.2, steps=6)
-    runs = simulate_ensemble(P4, params, 5, master_seed=123)
+    totals, runs = simulate_ensemble(P4, params, 5, (123,), keep=True)
     assert len(runs) == 5
     for r, t in enumerate(runs):
         solo = simulate_sir(P4, params, derived_rng(123, r))
         assert np.array_equal(t.s_counts, solo.s_counts)
         assert np.array_equal(t.i_counts, solo.i_counts)
         assert np.array_equal(t.r_counts, solo.r_counts)
+    summed = np.sum([[t.s_counts, t.i_counts, t.r_counts] for t in runs], axis=0)
+    assert np.array_equal(totals, summed)
+    unkept, none = simulate_ensemble(P4, params, 5, (123,))
+    assert none is None
+    assert np.array_equal(unkept, totals)
 
 
 def test_trajectory_csv_layout():
@@ -164,7 +171,8 @@ def test_simulation_means_approach_exact_solution():
     exact = exact_sir_expected_curves(g, params, [0])
     runs = [simulate_sir(g, params, derived_rng(7, r), initial_nodes=[0])
             for r in range(20000)]
-    mean = mean_curves(runs, g.n_nodes)
+    totals = np.sum([[t.s_counts, t.i_counts, t.r_counts] for t in runs], axis=0)
+    mean = counts_to_curves(totals, len(runs), g.n_nodes)
     assert np.allclose(mean.s_frac, exact.s_frac, atol=0.02)
     assert np.allclose(mean.i_frac, exact.i_frac, atol=0.02)
     assert np.allclose(mean.r_frac, exact.r_frac, atol=0.02)
