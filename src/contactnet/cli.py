@@ -34,8 +34,6 @@ from .metrics import (
     write_curves_csv,
 )
 from .models import (
-    DCSBM_MODES,
-    DEGREE_MODES,
     load_model,
     log_likelihood_per_pair,
     model_to_dict,
@@ -78,28 +76,17 @@ def _spec_from_args(args) -> ModelSpec:
         seed=args.spectral_seed,
         eigenvalue_order=args.eigenvalue_order,
     )
-    return ModelSpec(
-        variant=args.model,
-        degree_mode=args.degree_mode,
-        dcsbm_mode=args.dcsbm_mode,
-        spectral=spectral,
-    )
+    modes = {}
+    if args.mode is not None:
+        if args.model not in ("degree", "dcsbm"):
+            raise ConfigError("--mode applies only to the degree and dcsbm variants")
+        modes[f"{args.model}_mode"] = args.mode
+    return ModelSpec(variant=args.model, spectral=spectral, **modes)
 
 
 def cmd_fit(args) -> int:
-    if args.mode is not None:
-        if args.model == "degree":
-            if args.mode not in DEGREE_MODES:
-                raise ConfigError(f"--mode for degree must be one of {DEGREE_MODES}")
-            args.degree_mode = args.mode
-        elif args.model == "dcsbm":
-            if args.mode not in DCSBM_MODES:
-                raise ConfigError(f"--mode for dcsbm must be one of {DCSBM_MODES}")
-            args.dcsbm_mode = args.mode
-        else:
-            raise ConfigError("--mode applies only to the degree and dcsbm variants")
-    g = read_graph(args.path, args.format)
     spec = _spec_from_args(args)
+    g = read_graph(args.path, args.format)
     model = fit_model(g, spec)
     for key, value in (
         ("variant", model.variant),
@@ -213,10 +200,8 @@ def build_parser() -> _Parser:
     sp.add_argument("path")
     sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
     sp.add_argument("--model", required=True, choices=MODEL_VARIANTS)
-    sp.add_argument("--degree-mode", choices=DEGREE_MODES, default="exact_sum")
-    sp.add_argument("--dcsbm-mode", choices=DCSBM_MODES, default="exact")
     sp.add_argument("--mode", default=None,
-                    help="shorthand for the selected variant's mode flag")
+                    help="mode of the degree (exact_sum, chung_lu) or dcsbm (exact, plugin) fit")
     sp.add_argument("--k-fixed", type=int, default=None)
     sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--regularization", type=float, default=None)

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .community import SpectralConfig, spectral_cluster
+from .community import Partition, SpectralConfig, spectral_cluster
 from .errors import ConfigError, FitError
 from .graph import Graph, clustering_coefficient, degree_stats, density, read_graph
 from .metrics import (
+    QUADRATURES,
     MeanCurves,
     QualityRow,
     area_between,
@@ -54,7 +56,19 @@ _BRANCH_EPIDEMIC = 2
 
 
 @dataclass(frozen=True)
+class DatasetSpec:
+    path: str
+    format: str = "edge_list"
+
+    def __post_init__(self):
+        if self.format not in DATASET_FORMATS:
+            raise ValueError(f"unknown dataset format {self.format!r}")
+
+
+@dataclass(frozen=True)
 class ModelSpec:
+    """One model to evaluate; `name` (default: the variant) labels its outputs."""
+
     variant: str
     name: str = ""
     degree_mode: str = "exact_sum"
@@ -68,14 +82,12 @@ class ModelSpec:
             raise ValueError(f"unknown degree mode {self.degree_mode!r}")
         if self.dcsbm_mode not in DCSBM_MODES:
             raise ValueError(f"unknown dcsbm mode {self.dcsbm_mode!r}")
+        if not self.name:
+            object.__setattr__(self, "name", self.variant)
         if self.name == "actual":
             raise ValueError("model name 'actual' is reserved for the actual-graph curves")
         if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
             raise ValueError(f"model name {self.name!r} cannot serve as a file name")
-
-    @property
-    def display_name(self) -> str:
-        return self.name or self.variant
 
 
 @dataclass(frozen=True)
@@ -90,35 +102,14 @@ class EnsembleConfig:
                 raise ValueError(f"{f.name} must be at least 1")
 
 
-def _default_models() -> tuple[ModelSpec, ...]:
-    return tuple(ModelSpec(v) for v in MODEL_VARIANTS)
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
-    dataset_path: str
-    dataset_format: str = "edge_list"
-    models: tuple[ModelSpec, ...] = field(default_factory=_default_models)
-    sir: SirParams = SirParams()
-    ensemble: EnsembleConfig = EnsembleConfig()
-    master_seed: int = 0
-    output_dir: str = "results"
+class MetricsConfig:
     quadrature: str = "trapezoid"
     clustering_mode: str = "average_local"
     area_averaging: str = "pooled"
-    save_trajectories: bool = False
 
     def __post_init__(self):
-        if self.dataset_format not in DATASET_FORMATS:
-            raise ValueError(f"unknown dataset format {self.dataset_format!r}")
-        if not self.models:
-            raise ValueError("at least one model must be configured")
-        names = [spec.display_name for spec in self.models]
-        if len(set(names)) != len(names):
-            raise ValueError("model names collide; set distinct 'name' fields")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.quadrature not in ("trapezoid", "rectangle"):
+        if self.quadrature not in QUADRATURES:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.clustering_mode not in ("average_local", "global_transitivity"):
             raise ValueError(f"unknown clustering mode {self.clustering_mode!r}")
@@ -126,102 +117,93 @@ class ExperimentConfig:
             raise ValueError(f"unknown area averaging {self.area_averaging!r}")
 
 
+def _default_models() -> tuple[ModelSpec, ...]:
+    return tuple(ModelSpec(v) for v in MODEL_VARIANTS)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The experiment config; fields, nesting and order are those of its JSON form."""
+
+    dataset: DatasetSpec
+    models: tuple[ModelSpec, ...] = field(default_factory=_default_models)
+    sir: SirParams = SirParams()
+    ensemble: EnsembleConfig = EnsembleConfig()
+    master_seed: int = 0
+    output_dir: str = "results"
+    metrics: MetricsConfig = MetricsConfig()
+    save_trajectories: bool = False
+
+    def __post_init__(self):
+        if not self.models:
+            raise ValueError("at least one model must be configured")
+        names = [spec.name for spec in self.models]
+        if len(set(names)) != len(names):
+            raise ValueError("model names collide; set distinct 'name' fields")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # config JSON round-trip
 
-def _take(data: dict, context: str, known: tuple[str, ...]) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
-
-
-_TYPE_CHECKS = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+_SCALARS = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
 }
 
 
-def _typed(cls, data: dict, context: str):
-    """cls(**data), after checking bool, int and float fields against their annotations."""
-    for f in fields(cls):
-        kind, _, optional = f.type.partition(" | ")
-        if f.name not in data or kind not in _TYPE_CHECKS:
-            continue
-        value = data[f.name]
-        check, expected = _TYPE_CHECKS[kind]
-        if not check(value) and not (optional == "None" and value is None):
-            raise ConfigError(f"{context}.{f.name} must be {expected}, got {value!r}")
-    return cls(**data)
+def _from_json(hint, value, context: str):
+    """Read the JSON `value` as type `hint`; errors name the key path `context`."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{context} must be a JSON object")
+        declared = fields(hint)
+        unknown = set(value) - {f.name for f in declared}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+        for f in declared:
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{context}.{f.name} is required")
+        hints = get_type_hints(hint)
+        kwargs = {name: _from_json(hints[name], item, f"{context}.{name}")
+                  for name, item in value.items()}
+        try:
+            return hint(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {context}: {exc}") from exc
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{context} must be a JSON array")
+        return tuple(_from_json(get_args(hint)[0], item, f"{context}[{i}]")
+                     for i, item in enumerate(value))
+    kind, *rest = get_args(hint) or (hint,)  # `X | None` gives (X, NoneType)
+    if value is None and type(None) in rest:
+        return None
+    check, expected = _SCALARS[kind]
+    if not check(value):
+        raise ConfigError(f"{context} must be {expected}, got {value!r}")
+    return value
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the documented JSON schema, strictly."""
-    if not isinstance(data, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    _take(data, "config", ("dataset", "models", "sir", "ensemble", "master_seed",
-                           "output_dir", "metrics", "save_trajectories"))
-    try:
-        dataset = data.get("dataset")
-        if not isinstance(dataset, dict) or "path" not in dataset:
-            raise ConfigError("config needs a dataset object with a 'path'")
-        _take(dataset, "dataset", ("path", "format"))
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
 
-        model_specs = []
-        for entry in data.get("models", [{"variant": v} for v in MODEL_VARIANTS]):
-            _take(entry, "model spec", ("variant", "name", "degree_mode", "dcsbm_mode", "spectral"))
-            spectral_data = entry.get("spectral", {})
-            _take(spectral_data, "spectral config",
-                  tuple(f.name for f in fields(SpectralConfig)))
-            kwargs = {k: v for k, v in entry.items() if k != "spectral"}
-            spectral = _typed(SpectralConfig, spectral_data, "spectral")
-            model_specs.append(_typed(ModelSpec, dict(kwargs, spectral=spectral), "model"))
 
-        metrics_data = data.get("metrics", {})
-        _take(metrics_data, "metrics", ("quadrature", "clustering_mode", "area_averaging"))
-
-        return _typed(ExperimentConfig, dict(
-            dataset_path=str(dataset["path"]),
-            dataset_format=dataset.get("format", "edge_list"),
-            models=tuple(model_specs),
-            sir=_typed(SirParams, data.get("sir", {}), "sir"),
-            ensemble=_typed(EnsembleConfig, data.get("ensemble", {}), "ensemble"),
-            master_seed=data.get("master_seed", 0),
-            output_dir=str(data.get("output_dir", "results")),
-            save_trajectories=data.get("save_trajectories", False),
-            **{k: metrics_data[k] for k in metrics_data},
-        ), "config")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
+def config_from_dict(data) -> ExperimentConfig:
+    """Build an ExperimentConfig from its JSON form, strictly."""
+    return _from_json(ExperimentConfig, data, "config")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Echo a config back into its JSON schema (used for provenance)."""
-    return {
-        "dataset": {"path": config.dataset_path, "format": config.dataset_format},
-        "models": [
-            {
-                "variant": spec.variant,
-                "name": spec.display_name,
-                "degree_mode": spec.degree_mode,
-                "dcsbm_mode": spec.dcsbm_mode,
-                "spectral": {f.name: getattr(spec.spectral, f.name)
-                             for f in fields(SpectralConfig)},
-            }
-            for spec in config.models
-        ],
-        "sir": {f.name: getattr(config.sir, f.name) for f in fields(SirParams)},
-        "ensemble": {f.name: getattr(config.ensemble, f.name) for f in fields(EnsembleConfig)},
-        "master_seed": config.master_seed,
-        "output_dir": config.output_dir,
-        "metrics": {
-            "quadrature": config.quadrature,
-            "clustering_mode": config.clustering_mode,
-            "area_averaging": config.area_averaging,
-        },
-        "save_trajectories": config.save_trajectories,
-    }
+    """Echo a config back into its JSON form (used for provenance)."""
+    return _to_json(config)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -281,13 +263,15 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, keep: b
     return totals, kept
 
 
-def fit_model(g: Graph, spec: ModelSpec):
-    """Fit the variant named by `spec`, clustering first where one is needed."""
+def fit_model(g: Graph, spec: ModelSpec, partition: Partition | None = None):
+    """Fit the variant named by `spec`. Community variants use `partition`, or
+    cluster by `spec.spectral` when none is given."""
     if spec.variant == "er":
         return fit_er(g)
     if spec.variant == "degree":
         return fit_degree(g, mode=spec.degree_mode)
-    partition = spectral_cluster(g, spec.spectral)
+    if partition is None:
+        partition = spectral_cluster(g, spec.spectral)
     if spec.variant == "sbm":
         return fit_sbm(g, partition)
     return fit_dcsbm(g, partition, mode=spec.dcsbm_mode)
@@ -348,21 +332,22 @@ def _evaluate_model(g, spec, model, model_index, config, actual, keep):
     totals = sum(sums for sums, _ in per_network)
     pooled = counts_to_curves(totals, ens.sampled_networks * ens.runs_per_network, g.n_nodes)
 
-    if config.area_averaging == "pooled":
-        area = area_between(pooled, actual, quadrature=config.quadrature)
+    quadrature = config.metrics.quadrature
+    if config.metrics.area_averaging == "pooled":
+        area = area_between(pooled, actual, quadrature=quadrature)
     else:
         areas = [
             area_between(counts_to_curves(sums, ens.runs_per_network, g.n_nodes),
-                         actual, quadrature=config.quadrature)
+                         actual, quadrature=quadrature)
             for sums, _ in per_network
         ]
         area = float(sum(areas) / len(areas))
 
     # + 0.0 turns a perfect fit's -0.0 into 0.0
     nll = -log_likelihood_per_pair(model, g) + 0.0
-    row = QualityRow(spec.display_name, area, nll, model.parameter_count())
+    row = QualityRow(spec.name, area, nll, model.parameter_count())
     details = {
-        "name": spec.display_name,
+        "name": spec.name,
         "variant": model.variant,
         "mode": getattr(model, "mode", None),
         "capped": model.capped,
@@ -378,11 +363,14 @@ def _evaluate_model(g, spec, model, model_index, config, actual, keep):
 def run_experiment(config: ExperimentConfig) -> ResultsReport:
     """Execute the full protocol and write artifacts to config.output_dir."""
     started = time.perf_counter()
-    g = read_graph(config.dataset_path, config.dataset_format)
+    g = read_graph(config.dataset.path, config.dataset.format)
     _validate_against_graph(config, g)
 
     # fitting first surfaces fit errors before any epidemic runs
-    models = [fit_model(g, spec) for spec in config.models]
+    # spectral_cluster is a pure function of (g, config): cluster once per distinct config
+    partitions = {sc: spectral_cluster(g, sc) for sc in dict.fromkeys(
+        spec.spectral for spec in config.models if spec.variant in ("sbm", "dcsbm"))}
+    models = [fit_model(g, spec, partitions.get(spec.spectral)) for spec in config.models]
 
     keep = config.save_trajectories
     actual_totals, actual_trajs = simulate_ensemble(
@@ -399,12 +387,12 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     curves = {"actual": actual}
     trajectories = {"actual": actual_trajs} if keep else None
     for res in results:
-        curves[res.spec.display_name] = res.curves
+        curves[res.spec.name] = res.curves
         if keep:
-            trajectories[res.spec.display_name] = res.trajectories
+            trajectories[res.spec.name] = res.trajectories
 
     report = ResultsReport(
-        dataset=graph_summary(g, path=config.dataset_path, fmt=config.dataset_format),
+        dataset=graph_summary(g, path=config.dataset.path, fmt=config.dataset.format),
         rows=[res.row for res in results],
         model_details=[res.details for res in results],
         curves=curves,

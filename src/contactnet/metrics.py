@@ -62,6 +62,8 @@ class MeanCurves:
 
 def counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
     """Mean curves from S/I/R count sums (rows of `totals`) over `runs` runs."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     denom = runs * population
     return MeanCurves(totals[0] / denom, totals[1] / denom, totals[2] / denom,
                       runs, population)

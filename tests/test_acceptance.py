@@ -15,6 +15,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from contactnet import (
+    DatasetSpec,
     DcsbmModel,
     EnsembleConfig,
     ExperimentConfig,
@@ -230,7 +231,7 @@ def test_criterion_6_model_ranking(tmp_path):
         degree_beats_sbm = 0
         for seed in range(20):
             config = ExperimentConfig(
-                dataset_path=str(dataset),
+                dataset=DatasetSpec(str(dataset)),
                 ensemble=EnsembleConfig(actual_runs=500, sampled_networks=20,
                                         runs_per_network=25),
                 master_seed=seed,
@@ -272,7 +273,7 @@ def test_criterion_8_determinism(tmp_path):
         with open(dataset, "w") as fh:
             write_edge_list(g, fh)
         config = ExperimentConfig(
-            dataset_path=str(dataset),
+            dataset=DatasetSpec(str(dataset)),
             ensemble=EnsembleConfig(actual_runs=200, sampled_networks=10,
                                     runs_per_network=10),
             sir=SirParams(0.05, 0.05, steps=20),

@@ -1,18 +1,26 @@
 """Experiment orchestration, config handling, artifacts, and the CLI."""
 
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactnet import (
     ConfigError,
+    DatasetSpec,
     EnsembleConfig,
     ExperimentConfig,
     FitError,
     Graph,
+    MetricsConfig,
     ModelSpec,
     SirParams,
     SpectralConfig,
@@ -47,7 +55,7 @@ def dataset(tmp_path):
 
 def small_config(dataset, out, **overrides):
     base = dict(
-        dataset_path=dataset,
+        dataset=DatasetSpec(dataset),
         ensemble=EnsembleConfig(actual_runs=24, sampled_networks=3, runs_per_network=4),
         sir=SirParams(0.3, 0.2, steps=6),
         output_dir=out,
@@ -59,20 +67,20 @@ def small_config(dataset, out, **overrides):
 def test_defaults_match_protocol():
     ens = EnsembleConfig()
     assert (ens.actual_runs, ens.sampled_networks, ens.runs_per_network) == (5000, 100, 50)
-    cfg = ExperimentConfig(dataset_path="x.edges")
+    cfg = ExperimentConfig(dataset=DatasetSpec("x.edges"))
     assert cfg.master_seed == 0
-    assert cfg.dataset_format == "edge_list"
-    assert cfg.quadrature == "trapezoid"
-    assert cfg.clustering_mode == "average_local"
-    assert cfg.area_averaging == "pooled"
+    assert cfg.dataset.format == "edge_list"
+    assert cfg.metrics.quadrature == "trapezoid"
+    assert cfg.metrics.clustering_mode == "average_local"
+    assert cfg.metrics.area_averaging == "pooled"
     assert cfg.save_trajectories is False
     assert tuple(spec.variant for spec in cfg.models) == ("er", "degree", "sbm", "dcsbm")
     assert cfg.sir == SirParams(0.025, 0.025, 30, 1)
 
 
 def test_model_spec_validation():
-    assert ModelSpec("er").display_name == "er"
-    assert ModelSpec("sbm", name="blocks").display_name == "blocks"
+    assert ModelSpec("er").name == "er"
+    assert ModelSpec("sbm", name="blocks").name == "blocks"
     for bad_name in ("actual", ".", "..", "a/b", "a\\b"):
         with pytest.raises(ValueError):
             ModelSpec("er", name=bad_name)
@@ -83,39 +91,38 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("dcsbm", dcsbm_mode="fast")
     with pytest.raises(ValueError):
-        ExperimentConfig(dataset_path="x", models=(ModelSpec("er"), ModelSpec("er")))
+        ExperimentConfig(DatasetSpec("x"), models=(ModelSpec("er"), ModelSpec("er")))
     with pytest.raises(ValueError):
-        ExperimentConfig(dataset_path="x", models=())
+        ExperimentConfig(DatasetSpec("x"), models=())
     with pytest.raises(ValueError):
-        ExperimentConfig(dataset_path="x", quadrature="simpson")
+        ExperimentConfig(DatasetSpec("x"), metrics=MetricsConfig(quadrature="simpson"))
     with pytest.raises(ValueError):
         EnsembleConfig(actual_runs=0)
 
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(
-        dataset_path="data.edges",
+        dataset=DatasetSpec("data.edges"),
         models=(ModelSpec("er"), ModelSpec("dcsbm", name="blocks",
                                            spectral=SpectralConfig(k_fixed=3))),
         sir=SirParams(0.1, 0.05, steps=12, initial_infectious=2),
         ensemble=EnsembleConfig(100, 10, 5),
         master_seed=7,
-        quadrature="rectangle",
-        area_averaging="per_network",
+        metrics=MetricsConfig(quadrature="rectangle", area_averaging="per_network"),
         save_trajectories=True,
     )
     again = config_from_dict(config_to_dict(cfg))
     # the echo pins display names, so canonical forms must agree exactly
     assert config_to_dict(again) == config_to_dict(cfg)
-    assert again.models[0].display_name == "er"
+    assert again.models[0].name == "er"
     assert again.models[1].spectral.k_fixed == 3
-    assert again.quadrature == "rectangle"
+    assert again.metrics.quadrature == "rectangle"
     assert again.sir == cfg.sir and again.ensemble == cfg.ensemble
 
 
 def test_config_rejects_unknown_keys():
     good = {"dataset": {"path": "x.edges"}}
-    assert config_from_dict(good).dataset_path == "x.edges"
+    assert config_from_dict(good).dataset.path == "x.edges"
     with pytest.raises(ConfigError):
         config_from_dict({"dataset": {"path": "x"}, "typo": 1})
     with pytest.raises(ConfigError):
@@ -220,7 +227,7 @@ def test_run_experiment_validates_before_simulating(dataset, tmp_path):
 
 def test_run_experiment_per_network_averaging(dataset, tmp_path):
     report = run_experiment(small_config(dataset, str(tmp_path / "pn"),
-                                         area_averaging="per_network"))
+                                         metrics=MetricsConfig(area_averaging="per_network")))
     assert all(row.area >= 0 for row in report.rows)
 
 
@@ -240,7 +247,12 @@ def test_run_experiment_fits_each_model_once(dataset, tmp_path, monkeypatch):
         _count_calls(monkeypatch, name, counts)
     run_experiment(small_config(dataset, str(tmp_path / "once")))
     assert counts == {"fit_er": 1, "fit_degree": 1, "fit_sbm": 1, "fit_dcsbm": 1,
-                      "spectral_cluster": 2}
+                      "spectral_cluster": 1}
+    # community models share a clustering only when their spectral configs agree
+    counts.clear()
+    models = (ModelSpec("sbm"), ModelSpec("dcsbm", spectral=SpectralConfig(k_fixed=2)))
+    run_experiment(small_config(dataset, str(tmp_path / "twice"), models=models))
+    assert counts == {"fit_sbm": 1, "fit_dcsbm": 1, "spectral_cluster": 2}
 
 
 def test_run_experiment_simulates_through_module_names(dataset, tmp_path, monkeypatch):
@@ -411,8 +423,18 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     {"models": [{"variant": "er", "name": "../x"}]},
     {"models": [{"variant": "er", "name": "a/b"}]},
     {"models": [{"variant": "er", "name": "actual"}], "save_trajectories": True},
+    {"output_dir": 5},
+    {"output_dir": None},
+    {"metrics": []},
+    {"models": {"variant": "er"}},
+    {"models": "er"},
+    {"sir": None},
+    {"models": [{"variant": "sbm", "spectral": None}]},
+    {"dataset": {"path": 3}},
 ])
-def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, overrides):
+def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, monkeypatch,
+                                               overrides):
+    monkeypatch.chdir(tmp_path)  # a misread relative output_dir would appear here
     cfg = {
         "dataset": {"path": dataset},
         "sir": {"steps": 2},
@@ -426,3 +448,86 @@ def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, overr
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "never").exists()
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "two_cliques.edges"]
+
+
+def test_config_errors_name_the_key_path():
+    base = {"dataset": {"path": "x.edges"}}
+    for overrides, message in [
+        ({"models": [{"variant": "sbm", "spectral": None}]},
+         "config.models[0].spectral must be a JSON object"),
+        ({"models": {"variant": "er"}}, "config.models must be a JSON array"),
+        ({"dataset": {"path": 3}}, "config.dataset.path must be a string, got 3"),
+        ({"dataset": {"format": "contacts"}}, "config.dataset.path is required"),
+        ({"sir": {"steps": True}}, "config.sir.steps must be an integer, got True"),
+        ({"models": [{"variant": "er", "p": 1}]}, "unknown key(s) in config.models[0]: p"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(dict(base, **overrides))
+        assert str(info.value) == message
+    # ints stand for floats, null only where a field may be None, and both echo as given
+    cfg = config_from_dict(dict(base, sir={"infection_probability": 1},
+                                models=[{"variant": "sbm", "spectral": {"k_max": None}}]))
+    assert config_to_dict(cfg)["sir"]["infection_probability"] == 1
+    assert cfg.models[0].spectral.k_max is None
+
+
+def _key_paths(node, prefix=()):
+    """Every key path below a JSON value, objects and arrays alike."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _tiny_config(tmp):
+    graph = os.path.join(tmp, "square.edges")
+    with open(graph, "w") as fh:
+        fh.write("0 1\n1 2\n2 3\n3 0\n")
+    return config_to_dict(ExperimentConfig(
+        DatasetSpec(graph),
+        sir=SirParams(0.5, 0.3, steps=3),
+        ensemble=EnsembleConfig(2, 1, 1),
+        output_dir=os.path.join(tmp, "out"),
+    ))
+
+
+_MUTANTS = [None, [], {}, 5, 1.5, "x", True]
+_EXTRA_KEY = object()
+
+
+def _at(node, path):
+    return functools.reduce(operator.getitem, path, node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_experiment_survives_any_one_key_mutation(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _tiny_config(tmp)
+        paths = list(_key_paths(cfg))
+        objects = [()] + [path for path in paths if isinstance(_at(cfg, path), dict)]
+        path, mutant = data.draw(st.one_of(
+            st.tuples(st.sampled_from(paths), st.sampled_from(_MUTANTS)),
+            st.tuples(st.sampled_from(objects), st.just(_EXTRA_KEY)),
+        ))
+        if mutant is _EXTRA_KEY:
+            _at(cfg, path)["unexpected"] = 1
+        else:
+            _at(cfg, path[:-1])[path[-1]] = mutant
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a mutated relative output_dir must land in the scratch directory
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["experiment", cfg_path])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -52,6 +52,9 @@ def test_counts_to_curves_worked_example():
     assert mc.r_frac.tolist() == [0.0, 0.0]
     assert mc.n_runs == 2
     assert mc.population == 4
+    # zero runs is an error, not a division by zero
+    with pytest.raises(ValueError):
+        counts_to_curves(np.array([[4], [0], [0]]), 0, 4)
 
 
 def test_area_constant_offset_is_quadrature_invariant():
