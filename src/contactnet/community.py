@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,8 +112,10 @@ class SpectralConfig:
     eigenvalue_order: str = "abs"
 
     def __post_init__(self):
-        if self.regularization is not None and self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
+        if self.regularization is not None and not (
+            math.isfinite(self.regularization) and self.regularization >= 0
+        ):
+            raise ValueError("regularization must be finite and nonnegative")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.k_fixed is not None and self.k_fixed < 1:

@@ -80,8 +80,12 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     """One stochastic trajectory. Accepts a Generator or a seed.
 
     The initial infectious set is drawn uniformly without replacement unless
-    initial_nodes pins it. Random draws are consumed in fixed node-index
-    order, so the trajectory is a pure function of (g, params, seed).
+    initial_nodes pins it. Stream contract: the run draws one
+    `rng.choice(n, initial_infectious, replace=False)` for the seeds (none when
+    initial_nodes is given), then 2n uniforms per transition from one
+    `rng.random` call. The first n decide infection and the last n recovery,
+    both in node-index order. Nothing is drawn once no node is infectious. So
+    the trajectory is a pure function of (g, params, seed).
     """
     if g.n_nodes < 1:
         raise ValueError("simulation needs at least one node")
@@ -89,53 +93,64 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     n = g.n_nodes
     init = _resolve_initial(g, params, rng, initial_nodes)
 
-    is_s = np.ones(n, dtype=bool)
-    is_i = np.zeros(n, dtype=bool)
-    is_r = np.zeros(n, dtype=bool)
-    is_s[init] = False
-    is_i[init] = True
+    # node v is susceptible at state[v] and infectious at state[n + v], the
+    # layout of the 2n uniforms each transition draws
+    state = np.zeros(2 * n, dtype=bool)
+    susceptible, infectious = state[:n], state[n:]
+    susceptible[:] = True
+    susceptible[init] = False
+    infectious[init] = True
 
     steps = params.steps
     s_counts = np.empty(steps + 1, dtype=np.int64)
     i_counts = np.empty(steps + 1, dtype=np.int64)
-    r_counts = np.empty(steps + 1, dtype=np.int64)
-    s_counts[0] = n - len(init)
-    i_counts[0] = len(init)
-    r_counts[0] = 0
+    s_now, i_now = n - len(init), len(init)
+    s_counts[0], i_counts[0] = s_now, i_now
 
     adjacency = g.adjacency_matrix()
-    beta = params.infection_probability
-    gamma = params.recovery_probability
-    survive = 1.0 - beta
+    # infection probability by number of infectious neighbours; entry 0 is 0
+    p_by_contacts = 1.0 - (1.0 - params.infection_probability) ** np.arange(
+        int(g.degrees.max()) + 1
+    )
+    # rates[:n] is rebuilt from the contacts; rates[n:] stays gamma. Masked by
+    # state they give the thresholds; 0 never fires, as draws lie in [0, 1)
+    rates = np.full(2 * n, params.recovery_probability)
+    threshold = np.empty(2 * n)
+    draws = np.empty(2 * n)
+    fired = np.empty(2 * n, dtype=bool)
+    moved = True
 
     for t in range(steps):
-        if not i_counts[t]:
+        if not i_now:
             # absorbed: no randomness left to consume
-            s_counts[t + 1:] = s_counts[t]
+            s_counts[t + 1:] = s_now
             i_counts[t + 1:] = 0
-            r_counts[t + 1:] = r_counts[t]
             break
-        contacts = adjacency @ is_i.astype(np.int64)
-        p_infect = 1.0 - survive ** contacts
-        new_i = is_s & (rng.random(n) < p_infect)
-        new_r = is_i & (rng.random(n) < gamma)
-        is_s &= ~new_i
-        is_i = (is_i & ~new_r) | new_i
-        is_r |= new_r
-        s_counts[t + 1] = np.count_nonzero(is_s)
-        i_counts[t + 1] = np.count_nonzero(is_i)
-        r_counts[t + 1] = n - s_counts[t + 1] - i_counts[t + 1]
-    return Trajectory(s_counts, i_counts, r_counts)
+        # thresholds depend only on the state: rebuild them only after a change
+        if moved:
+            rates[:n] = p_by_contacts[adjacency @ infectious]
+            np.multiply(rates, state, out=threshold)
+        rng.random(out=draws)
+        np.less(draws, threshold, out=fired)
+        moved = np.count_nonzero(fired)
+        if moved:
+            infected = np.count_nonzero(fired[:n])
+            s_now -= infected
+            i_now += infected - (moved - infected)
+            state ^= fired  # infected leave S, recovered leave I
+            infectious |= fired[:n]
+        s_counts[t + 1] = s_now
+        i_counts[t + 1] = i_now
+    return Trajectory(s_counts, i_counts, n - s_counts - i_counts)
 
 
 def write_trajectories_csv(trajectories, stream) -> None:
     """Dump trajectories as run,t,S,I,R rows."""
     stream.write("run,t,S,I,R\n")
     for run, traj in enumerate(trajectories):
-        for t in range(len(traj)):
-            stream.write(
-                f"{run},{t},{traj.s_counts[t]},{traj.i_counts[t]},{traj.r_counts[t]}\n"
-            )
+        # one write per run: a whole file's rows at once would raise peak memory
+        counts = zip(traj.s_counts.tolist(), traj.i_counts.tolist(), traj.r_counts.tolist())
+        stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,8 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     {"sir": None},
     {"models": [{"variant": "sbm", "spectral": None}]},
     {"dataset": {"path": 3}},
+    {"models": [{"variant": "sbm", "spectral": {"regularization": float("inf")}}]},
+    {"models": [{"variant": "sbm", "spectral": {"regularization": float("nan")}}]},
 ])
 def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, monkeypatch,
                                                overrides):
@@ -461,6 +463,10 @@ def test_config_errors_name_the_key_path():
         ({"dataset": {"format": "contacts"}}, "config.dataset.path is required"),
         ({"sir": {"steps": True}}, "config.sir.steps must be an integer, got True"),
         ({"models": [{"variant": "er", "p": 1}]}, "unknown key(s) in config.models[0]: p"),
+        ({"models": [{"variant": "sbm", "spectral": {"regularization": float("inf")}}]},
+         "invalid config.models[0].spectral: regularization must be finite and nonnegative"),
+        ({"models": [{"variant": "sbm", "spectral": {"regularization": float("nan")}}]},
+         "invalid config.models[0].spectral: regularization must be finite and nonnegative"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(dict(base, **overrides))

@@ -133,6 +133,91 @@ def test_trajectory_csv_layout():
     assert lines[3] == "1,0,1,1,0"
 
 
+def test_trajectory_csv_text():
+    buf = io.StringIO()
+    write_trajectories_csv([], buf)
+    assert buf.getvalue() == "run,t,S,I,R\n"
+    short = Trajectory(np.array([2]), np.array([1]), np.array([0]))
+    long = Trajectory(np.array([2, 1, 1]), np.array([1, 1, 0]), np.array([0, 1, 2]))
+    buf = io.StringIO()
+    write_trajectories_csv([short, long], buf)
+    assert buf.getvalue() == (
+        "run,t,S,I,R\n0,0,2,1,0\n1,0,2,1,0\n1,1,1,1,1\n1,2,1,0,2\n"
+    )
+
+
+def _reference_sir_counts(g, params, rng, initial_nodes=None):
+    """Reference step loop: two rng.random(n) calls per transition and the
+    infection pressure recomputed at every step. simulate_sir must match it
+    count for count and draw for draw."""
+    n = g.n_nodes
+    if initial_nodes is None:
+        init = rng.choice(n, size=params.initial_infectious, replace=False)
+    else:
+        init = np.unique(np.asarray(list(initial_nodes), dtype=np.int64))
+    is_s = np.ones(n, dtype=bool)
+    is_i = np.zeros(n, dtype=bool)
+    is_r = np.zeros(n, dtype=bool)
+    is_s[init] = False
+    is_i[init] = True
+    steps = params.steps
+    s_counts = np.empty(steps + 1, dtype=np.int64)
+    i_counts = np.empty(steps + 1, dtype=np.int64)
+    r_counts = np.empty(steps + 1, dtype=np.int64)
+    s_counts[0] = n - len(init)
+    i_counts[0] = len(init)
+    r_counts[0] = 0
+    adjacency = g.adjacency_matrix()
+    survive = 1.0 - params.infection_probability
+    gamma = params.recovery_probability
+    for t in range(steps):
+        if not i_counts[t]:
+            s_counts[t + 1:] = s_counts[t]
+            i_counts[t + 1:] = 0
+            r_counts[t + 1:] = r_counts[t]
+            break
+        contacts = adjacency @ is_i.astype(np.int64)
+        p_infect = 1.0 - survive ** contacts
+        new_i = is_s & (rng.random(n) < p_infect)
+        new_r = is_i & (rng.random(n) < gamma)
+        is_s &= ~new_i
+        is_i = (is_i & ~new_r) | new_i
+        is_r |= new_r
+        s_counts[t + 1] = np.count_nonzero(is_s)
+        i_counts[t + 1] = np.count_nonzero(is_i)
+        r_counts[t + 1] = n - s_counts[t + 1] - i_counts[t + 1]
+    return s_counts, i_counts, r_counts
+
+
+def test_simulation_matches_reference_loop():
+    rng = np.random.default_rng(808)
+    graphs = [Graph(1), Graph(5), K2, P4]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        density = float(rng.choice([0.05, 0.2, 0.6]))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(Graph(n, [p for p in pairs if rng.random() < density]))
+    for g in graphs:
+        n = g.n_nodes
+        for _ in range(8):
+            beta, gamma = (float(rng.choice([0.0, 1.0, rng.random()])) for _ in range(2))
+            steps = int(rng.choice([0, rng.integers(1, 12), 40]))
+            params = SirParams(beta, gamma, steps=steps,
+                               initial_infectious=int(rng.choice([0, 1, n, rng.integers(0, n + 1)])))
+            pinned = None
+            if rng.random() < 0.25:
+                pinned = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            t = simulate_sir(g, params, ours, initial_nodes=pinned)
+            s, i, r = _reference_sir_counts(g, params, theirs, initial_nodes=pinned)
+            assert np.array_equal(t.s_counts, s)
+            assert np.array_equal(t.i_counts, i)
+            assert np.array_equal(t.r_counts, r)
+            # same draws consumed, none after absorption
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_exact_solver_isolated_node_decays_geometrically():
     g = Graph(1)
     curves = exact_sir_expected_curves(g, SirParams(0.9, 0.5, steps=2), [0])
