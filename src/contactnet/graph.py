@@ -185,7 +185,7 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         if not line or line.startswith("#"):
             continue
         tokens = [t for t in _TOKEN_SPLIT.split(line) if t]
-        if tokens[0] == _HEADER_TAG:
+        if tokens and tokens[0] == _HEADER_TAG:
             if declared is not None:
                 raise ParseError("duplicate node-count header", lineno)
             if len(tokens) != 2:
@@ -235,20 +235,23 @@ def write_edge_list(g: Graph, stream) -> None:
 
 def _read_csv_rows(lines: Iterable[str], required: tuple[str, ...]):
     reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise ParseError("empty file, expected a CSV header", 1)
-    fields = [f.strip() for f in reader.fieldnames]
-    missing = [c for c in required if c not in fields]
-    if missing:
-        raise ParseError(f"missing required column(s): {', '.join(missing)}", 1)
-    for row in reader:
-        values = {}
-        for col in required:
-            val = row.get(col)
-            if val is None or not val.strip():
-                raise ParseError(f"empty value in column {col!r}", reader.line_num)
-            values[col] = val.strip()
-        yield reader.line_num, values
+    try:
+        if reader.fieldnames is None:
+            raise ParseError("empty file, expected a CSV header", 1)
+        fields = [f.strip() for f in reader.fieldnames]
+        missing = [c for c in required if c not in fields]
+        if missing:
+            raise ParseError(f"missing required column(s): {', '.join(missing)}", 1)
+        for row in reader:
+            values = {}
+            for col in required:
+                val = row.get(col)
+                if val is None or not val.strip():
+                    raise ParseError(f"empty value in column {col!r}", reader.line_num)
+                values[col] = val.strip()
+            yield reader.line_num, values
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.reader.line_num) from None
 
 
 def load_contacts(lines: Iterable[str]) -> list[ContactEvent]:
@@ -333,7 +336,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     if g.n_nodes == 0:
         raise UndefinedStatisticError("average degree is undefined for an empty graph")
     deg = g.degrees
-    return DegreeStats(deg, 2 * g.n_edges / g.n_nodes, int(deg.max()) if g.n_nodes else 0)
+    return DegreeStats(deg, 2 * g.n_edges / g.n_nodes, int(deg.max()))
 
 
 def _triangles_per_node(g: Graph) -> np.ndarray:

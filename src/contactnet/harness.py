@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .metrics import (
 from .models import (
     DCSBM_MODES,
     DEGREE_MODES,
+    VARIANTS,
     fit_dcsbm,
     fit_degree,
     fit_er,
@@ -40,12 +40,13 @@ from .models import (
     log_likelihood_per_pair,
     sample_graph,
 )
+from .schema import from_json, to_json
 from .seeding import derived_rng
 from .sir import SirParams, simulate_sir, write_trajectories_csv
 
 TOOL_VERSION = "0.1.0"
 
-MODEL_VARIANTS = ("er", "degree", "sbm", "dcsbm")
+MODEL_VARIANTS = tuple(VARIANTS)
 DATASET_FORMATS = ("edge_list", "contacts", "attendance")
 AREA_AVERAGING = ("pooled", "per_network")
 
@@ -147,63 +148,14 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config JSON round-trip
 
-_SCALARS = {
-    str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-}
-
-
-def _from_json(hint, value, context: str):
-    """Read the JSON `value` as type `hint`; errors name the key path `context`."""
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{context} must be a JSON object")
-        declared = fields(hint)
-        unknown = set(value) - {f.name for f in declared}
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
-        for f in declared:
-            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{context}.{f.name} is required")
-        hints = get_type_hints(hint)
-        kwargs = {name: _from_json(hints[name], item, f"{context}.{name}")
-                  for name, item in value.items()}
-        try:
-            return hint(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {context}: {exc}") from exc
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{context} must be a JSON array")
-        return tuple(_from_json(get_args(hint)[0], item, f"{context}[{i}]")
-                     for i, item in enumerate(value))
-    kind, *rest = get_args(hint) or (hint,)  # `X | None` gives (X, NoneType)
-    if value is None and type(None) in rest:
-        return None
-    check, expected = _SCALARS[kind]
-    if not check(value):
-        raise ConfigError(f"{context} must be {expected}, got {value!r}")
-    return value
-
-
-def _to_json(value):
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    return value
-
-
 def config_from_dict(data) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form, strictly."""
-    return _from_json(ExperimentConfig, data, "config")
+    return from_json(ExperimentConfig, data, "config")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Echo a config back into its JSON form (used for provenance)."""
-    return _to_json(config)
+    return to_json(config)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -218,9 +170,11 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # dataset summary
 
-def graph_summary(g: Graph, path: str | None = None, fmt: str | None = None) -> dict:
+def graph_summary(g: Graph, path: str, fmt: str) -> dict:
     stats = degree_stats(g)
-    summary = {
+    return {
+        "path": path,
+        "format": fmt,
         "n_nodes": g.n_nodes,
         "n_edges": g.n_edges,
         "density": density(g) if g.n_nodes >= 2 else None,
@@ -229,14 +183,11 @@ def graph_summary(g: Graph, path: str | None = None, fmt: str | None = None) -> 
         "average_degree": stats.average,
         "max_degree": stats.maximum,
     }
-    if path is not None:
-        summary = {"path": path, "format": fmt, **summary}
-    return summary
 
 
 def dataset_stats(path: str, fmt: str = "edge_list") -> dict:
     """Summary statistics of a dataset file (the fields of a dataset table)."""
-    return graph_summary(read_graph(path, fmt), path=path, fmt=fmt)
+    return graph_summary(read_graph(path, fmt), path, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
             trajectories[res.spec.name] = res.trajectories
 
     report = ResultsReport(
-        dataset=graph_summary(g, path=config.dataset.path, fmt=config.dataset.format),
+        dataset=graph_summary(g, config.dataset.path, config.dataset.format),
         rows=[res.row for res in results],
         model_details=[res.details for res in results],
         curves=curves,

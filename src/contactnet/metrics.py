@@ -198,18 +198,21 @@ def read_curves_csv(lines) -> MeanCurves:
     except (KeyError, ValueError):
         raise ParseError("header must carry integer population= and n_runs=", 1) from None
     reader = csv.DictReader(it)
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["t", "s", "i", "r"]:
-        raise ParseError("expected column header t,s,i,r", 2)
     s, i, r = [], [], []
-    for lineno, row in enumerate(reader, start=3):
-        try:
-            if int(row["t"]) != lineno - 3:
-                raise ParseError("time indices must be consecutive from 0", lineno)
-            s.append(float(row["s"]))
-            i.append(float(row["i"]))
-            r.append(float(row["r"]))
-        except (TypeError, ValueError):
-            raise ParseError("malformed curve row", lineno) from None
+    try:
+        if [f.strip() for f in reader.fieldnames or ()] != ["t", "s", "i", "r"]:
+            raise ParseError("expected column header t,s,i,r", 2)
+        for lineno, row in enumerate(reader, start=3):
+            try:
+                if int(row["t"]) != lineno - 3:
+                    raise ParseError("time indices must be consecutive from 0", lineno)
+                s.append(float(row["s"]))
+                i.append(float(row["i"]))
+                r.append(float(row["r"]))
+            except (TypeError, ValueError):
+                raise ParseError("malformed curve row", lineno) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.reader.line_num + 1) from None
     if not s:
         raise ParseError("curves file holds no rows", 3)
     try:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .community import Partition
-from .errors import FitError, NumericError, ParseError
+from .errors import ConfigError, FitError, NumericError, ParseError
 from .graph import Graph
+from .schema import from_json, to_json
 
 DEGREE_SUM_TOL = 1e-9
 DEGREE_MODES = ("exact_sum", "chung_lu")
@@ -55,10 +57,22 @@ class EdgeProbabilityModel:
         raise NotImplementedError
 
 
-def _as_readonly(arr, dtype) -> np.ndarray:
-    out = np.asarray(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _freeze_array(model, name: str, integer: bool = False) -> None:
+    """Replace field `name` by a read-only array after checking that every
+    element is an integer (or, unless `integer`, a finite number). Booleans,
+    strings, nulls and ragged nesting are refused."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        items = np.array(getattr(model, name), dtype=object)
+        if all(issubclass(t, kind) and t is not bool for t in set(map(type, items.flat))):
+            out = items.astype(np.int64 if integer else float)
+            if np.all(np.isfinite(out)):
+                out.setflags(write=False)
+                object.__setattr__(model, name, out)
+                return
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must hold only {'integers' if integer else 'finite numbers'}")
 
 
 def _validate_common(model) -> None:
@@ -66,6 +80,8 @@ def _validate_common(model) -> None:
         raise ValueError("model needs at least one node")
     if len(model.labels) != model.n_nodes:
         raise ValueError("label count must equal n_nodes")
+    if len(set(model.labels)) != model.n_nodes:
+        raise ValueError("node labels must be unique")
 
 
 def _validate_assignments(assign: np.ndarray, k: int, n: int) -> None:
@@ -73,7 +89,7 @@ def _validate_assignments(assign: np.ndarray, k: int, n: int) -> None:
         raise ValueError("assignment vector length must equal n_nodes")
     if k < 1 or assign.min() < 0 or assign.max() >= k:
         raise ValueError("community index out of range")
-    if np.any(np.bincount(assign, minlength=k) == 0):
+    if len(np.unique(assign)) != k:
         raise ValueError("every community must be non-empty")
 
 
@@ -87,6 +103,7 @@ class ErModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         _validate_common(self)
+        object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
 
@@ -111,11 +128,12 @@ class DegreeModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         _validate_common(self)
-        object.__setattr__(self, "degrees", _as_readonly(self.degrees, np.int64))
+        object.__setattr__(self, "scale", float(self.scale))
+        _freeze_array(self, "degrees", integer=True)
         if self.degrees.shape != (self.n_nodes,) or self.degrees.min() < 0:
             raise ValueError("degrees must be a nonnegative vector of length n_nodes")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
         if self.mode not in DEGREE_MODES:
             raise ValueError(f"unknown degree mode {self.mode!r}")
 
@@ -141,8 +159,8 @@ class SbmModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         _validate_common(self)
-        object.__setattr__(self, "assignments", _as_readonly(self.assignments, np.int64))
-        object.__setattr__(self, "block_probs", _as_readonly(self.block_probs, float))
+        _freeze_array(self, "assignments", integer=True)
+        _freeze_array(self, "block_probs")
         _validate_assignments(self.assignments, self.k, self.n_nodes)
         bp = self.block_probs
         if bp.shape != (self.k, self.k):
@@ -179,9 +197,9 @@ class DcsbmModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         _validate_common(self)
-        object.__setattr__(self, "assignments", _as_readonly(self.assignments, np.int64))
-        object.__setattr__(self, "degree_share", _as_readonly(self.degree_share, float))
-        object.__setattr__(self, "block_rates", _as_readonly(self.block_rates, float))
+        _freeze_array(self, "assignments", integer=True)
+        _freeze_array(self, "degree_share")
+        _freeze_array(self, "block_rates")
         _validate_assignments(self.assignments, self.k, self.n_nodes)
         if self.degree_share.shape != (self.n_nodes,) or self.degree_share.min() < 0:
             raise ValueError("degree_share must be a nonnegative vector of length n_nodes")
@@ -200,6 +218,9 @@ class DcsbmModel(EdgeProbabilityModel):
     def _matrix(self):
         rates = self.block_rates[self.assignments][:, self.assignments]
         return np.outer(self.degree_share, self.degree_share) * rates
+
+
+VARIANTS = {cls.variant: cls for cls in (ErModel, DegreeModel, SbmModel, DcsbmModel)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +264,6 @@ def fit_degree(g: Graph, mode: str = "exact_sum") -> DegreeModel:
     mode 'exact_sum' (default) picks the scale so capped probabilities sum to
     the observed edge count; 'chung_lu' uses the closed form 1 / (2M).
     """
-    if mode not in DEGREE_MODES:
-        raise ValueError(f"unknown degree mode {mode!r}")
     m = g.n_edges
     if m == 0:
         raise FitError("degree model is undefined on an edgeless graph")
@@ -259,10 +278,6 @@ def fit_sbm(g: Graph, partition: Partition) -> SbmModel:
     """Per-block edge probability: observed block edges over possible block pairs."""
     if len(partition.assignments) != g.n_nodes:
         raise ValueError("partition length must equal the node count")
-    sizes = partition.community_sizes
-    if np.any(sizes == 0):
-        empty = int(np.flatnonzero(sizes == 0)[0])
-        raise FitError(f"community {empty} is empty")
     edges = partition.block_edge_counts.astype(float)
     pairs = partition.block_pair_counts.astype(float)
     probs = np.divide(edges, pairs, out=np.zeros_like(edges), where=pairs > 0)
@@ -277,8 +292,6 @@ def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel
     renormalized so expected within-block edge counts match the observed ones
     (the raw plug-in understates them).
     """
-    if mode not in DCSBM_MODES:
-        raise ValueError(f"unknown dcsbm mode {mode!r}")
     if len(partition.assignments) != g.n_nodes:
         raise ValueError("partition length must equal the node count")
     assign = partition.assignments
@@ -290,7 +303,6 @@ def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel
     share = deg / totals[assign]
     rates = partition.block_edge_counts.astype(float)
     if mode == "exact":
-        rates = rates.copy()
         for a in range(partition.k):
             members = share[assign == a]
             s1 = members.sum()
@@ -301,9 +313,7 @@ def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel
                 rates[a, a] = m_aa / pair_weight
             else:
                 rates[a, a] = 0.0  # singleton block, no within pairs and no within edges
-    return DcsbmModel(
-        g.n_nodes, g.labels, assign, partition.k, share, rates, mode
-    )
+    return DcsbmModel(g.n_nodes, g.labels, assign, partition.k, share, rates, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -350,51 +360,19 @@ def log_likelihood_per_pair(model: EdgeProbabilityModel, g: Graph) -> float:
 # serialization (JSON, bit-exact float round-trip)
 
 def model_to_dict(model: EdgeProbabilityModel) -> dict:
-    data = {
-        "variant": model.variant,
-        "n_nodes": model.n_nodes,
-        "labels": list(model.labels),
-    }
-    if isinstance(model, ErModel):
-        data["p"] = model.p
-    elif isinstance(model, DegreeModel):
-        data["mode"] = model.mode
-        data["scale"] = model.scale
-        data["degrees"] = model.degrees.tolist()
-    elif isinstance(model, SbmModel):
-        data["assignments"] = model.assignments.tolist()
-        data["k"] = model.k
-        data["block_probs"] = model.block_probs.tolist()
-    elif isinstance(model, DcsbmModel):
-        data["mode"] = model.mode
-        data["assignments"] = model.assignments.tolist()
-        data["k"] = model.k
-        data["degree_share"] = model.degree_share.tolist()
-        data["block_rates"] = model.block_rates.tolist()
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return data
+    """The model's JSON form: its variant, then its fields in declared order."""
+    return {"variant": model.variant, **to_json(model)}
 
 
-def model_from_dict(data: dict) -> EdgeProbabilityModel:
-    try:
-        variant = data["variant"]
-        n = int(data["n_nodes"])
-        labels = tuple(data["labels"])
-        if variant == "er":
-            return ErModel(n, labels, float(data["p"]))
-        if variant == "degree":
-            return DegreeModel(n, labels, float(data["scale"]), data["degrees"], data["mode"])
-        if variant == "sbm":
-            return SbmModel(n, labels, data["assignments"], int(data["k"]), data["block_probs"])
-        if variant == "dcsbm":
-            return DcsbmModel(
-                n, labels, data["assignments"], int(data["k"]),
-                data["degree_share"], data["block_rates"], data["mode"],
-            )
-    except KeyError as exc:
-        raise ValueError(f"model document is missing field {exc}") from None
-    raise ValueError(f"unknown model variant {variant!r}")
+def model_from_dict(data) -> EdgeProbabilityModel:
+    """Build a model from its JSON form, strictly; errors name the key path."""
+    if not isinstance(data, dict):
+        raise ValueError("model must be a JSON object")
+    rest = dict(data)
+    variant = rest.pop("variant", None)
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ValueError(f"model.variant must be one of {', '.join(VARIANTS)}, got {variant!r}")
+    return from_json(VARIANTS[variant], rest, "model")
 
 
 def save_model(model: EdgeProbabilityModel, path: str) -> None:
@@ -406,10 +384,8 @@ def save_model(model: EdgeProbabilityModel, path: str) -> None:
 def load_model(path: str) -> EdgeProbabilityModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return model_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ParseError(f"model file is not valid JSON: {exc}") from None
-    try:
-        return model_from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from None
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ParseError(str(exc)) from None

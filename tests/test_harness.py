@@ -1,6 +1,7 @@
 """Experiment orchestration, config handling, artifacts, and the CLI."""
 
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -11,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactnet import (
     ConfigError,
@@ -36,6 +37,7 @@ from contactnet import (
     write_edge_list,
 )
 import contactnet.harness as harness
+from contactnet.models import model_to_dict
 
 TWO_CLIQUES = Graph(
     12,
@@ -537,3 +539,123 @@ def test_cli_experiment_survives_any_one_key_mutation(data):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _run_cli(argv, cwd):
+    """cli.main(argv) run in `cwd`; returns the exit code and the stderr text."""
+    err = io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        os.chdir(here)
+    return code, err.getvalue()
+
+
+_MODEL_DOCS = {
+    variant: model_to_dict(
+        fit_model(TWO_CLIQUES, ModelSpec(variant, spectral=SpectralConfig(k_fixed=2))))
+    for variant in harness.MODEL_VARIANTS
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_sample_survives_any_one_key_mutation(data):
+    doc = copy.deepcopy(_MODEL_DOCS[data.draw(st.sampled_from(harness.MODEL_VARIANTS))])
+    paths = list(_key_paths(doc))
+    path, mutant = data.draw(st.one_of(
+        st.tuples(st.sampled_from([p for p in paths if len(p) == 1]) | st.sampled_from(paths),
+                  st.sampled_from(_MUTANTS + [math.nan, math.inf])),
+        st.tuples(st.just(()), st.just(_EXTRA_KEY)),
+    ))
+    if mutant is _EXTRA_KEY:
+        doc["unexpected"] = 1
+    else:
+        _at(doc, path[:-1])[path[-1]] = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "model.json"), "w") as fh:
+            json.dump(doc, fh)
+        code, err = _run_cli(["sample", "model.json", "--output-dir", "nets"], tmp)
+        written = os.path.exists(os.path.join(tmp, "nets"))
+    assert code in (0, 2)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not written
+
+
+def test_cli_model_file_errors_name_the_key_path(tmp_path, capsys):
+    doc = dict(_MODEL_DOCS["degree"], scale="0.1")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sample", str(path), "--output-dir", str(tmp_path / "nets")]) == 2
+    assert capsys.readouterr().err == "error: model.scale must be a number, got '0.1'\n"
+    assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+
+_BIG_FIELD = "x" * 140_000  # over the csv module's default field limit of 131072
+
+
+@pytest.mark.parametrize("fmt, data", [
+    ("contacts", f"time,node_a,node_b\n1,a,b\n2,{_BIG_FIELD},c\n".encode()),
+    ("attendance", f"event_id,person\n{_BIG_FIELD},p\n".encode()),
+    ("curves", f"# population=2 n_runs=1\nt,s,i,r\n0,{_BIG_FIELD},0,0\n".encode()),
+    ("edge_list", b"a b\n\xe9 c\n"),
+    ("contacts", b"time,node_a,node_b\n1,\xe9,b\n"),
+    ("attendance", b"event_id,person\n\xff\xfe,p\n"),
+    ("curves", b"# population=2 n_runs=1\nt,s,i,r\n0,1.0,0.0,0.0\xe9\n"),
+    ("model", b'{"variant": "er", "labels": ["\xe9"]}'),
+    ("edge_list", b"a b\n,,\n"),
+], ids=["contacts-field-limit", "attendance-field-limit", "curves-field-limit",
+        "edge_list-latin1", "contacts-latin1", "attendance-utf16-bom", "curves-latin1",
+        "model-latin1", "edge_list-separators-only"])
+def test_cli_unreadable_data_files_exit_2(tmp_path, fmt, data):
+    (tmp_path / "data").write_bytes(data)
+    argv = {
+        "curves": ["evaluate", "data", "data"],
+        "model": ["sample", "data", "--output-dir", "nets"],
+    }.get(fmt, ["stats", "data", "--format", fmt])
+    code, err = _run_cli(argv, tmp_path)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["data"]
+
+
+_DATA_HEADERS = {
+    "edge_list": "%N 3\n",
+    "contacts": "time,node_a,node_b\n",
+    "attendance": "event_id,person\n",
+    "curves": "# population=2 n_runs=1\nt,s,i,r\n",
+}
+# no token starts with a digit, so no run of tokens declares a huge `%N` node count
+_DATA_TOKENS = st.sampled_from(
+    ["a", "b", "c", ",", " ", "\t", "\n", "\r\n", "#", "%N 3", '"', "\x00", "0,1.0,0.0,0.0",
+     "1,0.5,0.5,0.0", "-1", "0.5", "nan", "t,s,i,r", "x" * 10])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fmt=st.sampled_from(tuple(_DATA_HEADERS)),
+    headed=st.booleans(),
+    body=st.one_of(st.text(), st.binary(), st.lists(_DATA_TOKENS).map("".join)),
+)
+@example(fmt="contacts", headed=True, body=f"1,a,{_BIG_FIELD}\n")
+@example(fmt="curves", headed=True, body=f"0,{_BIG_FIELD},0,0\n")
+@example(fmt="contacts", headed=True, body="1,a\x00,b\n")  # csv rejects NUL on 3.10
+@example(fmt="attendance", headed=False, body=b"event_id,person\n\xe9,p\n")
+@example(fmt="edge_list", headed=False, body=",,\n")
+def test_cli_reads_any_data_text(fmt, headed, body):
+    data = body if isinstance(body, bytes) else body.encode("utf-8")
+    if headed:
+        data = _DATA_HEADERS[fmt].encode() + data
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "data"), "wb") as fh:
+            fh.write(data)
+        argv = (["evaluate", "data", "data"] if fmt == "curves"
+                else ["stats", "data", "--format", fmt])
+        code, err = _run_cli(argv, tmp)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactnet import (
+    ConfigError,
     DcsbmModel,
+    DegreeModel,
     ErModel,
     FitError,
     Graph,
     ParseError,
     Partition,
+    SbmModel,
     fit_dcsbm,
     fit_degree,
     fit_er,
@@ -214,6 +217,83 @@ def test_model_deserialization_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_model(str(path))
+
+
+def test_model_documents_follow_field_order():
+    labels = ["0", "1", "2", "3"]
+    assert list(model_to_dict(fit_er(STAR4))) == ["variant", "n_nodes", "labels", "p"]
+    doc = model_to_dict(fit_degree(STAR4))
+    assert doc == {"variant": "degree", "n_nodes": 4, "labels": labels,
+                   "scale": doc["scale"], "degrees": [3, 1, 1, 1], "mode": "exact_sum"}
+    assert list(doc) == ["variant", "n_nodes", "labels", "scale", "degrees", "mode"]
+    assert list(model_to_dict(fit_sbm(DC_GRAPH, DC_PART))) == [
+        "variant", "n_nodes", "labels", "assignments", "k", "block_probs"]
+    assert list(model_to_dict(fit_dcsbm(DC_GRAPH, DC_PART))) == [
+        "variant", "n_nodes", "labels", "assignments", "k", "degree_share", "block_rates",
+        "mode"]
+
+
+def test_model_documents_in_the_old_key_order_still_load():
+    # files written before the documents followed field order carry `mode` third
+    doc = {"variant": "dcsbm", "n_nodes": 4, "labels": ["0", "1", "2", "3"],
+           "mode": "exact", "assignments": [0, 0, 1, 1], "k": 2,
+           "degree_share": [2 / 3, 1 / 3, 2 / 3, 1 / 3],
+           "block_rates": [[4.5, 1.0], [1.0, 4.5]]}
+    model = model_from_dict(doc)
+    assert np.array_equal(model.probability_matrix(),
+                          fit_dcsbm(DC_GRAPH, DC_PART).probability_matrix())
+    assert sample_graph(model, 3).n_nodes == 4
+    # an integer stands for a float and is read as one
+    zero = model_from_dict({"variant": "er", "n_nodes": 3, "labels": ["a", "b", "c"], "p": 0})
+    assert zero.p == 0.0 and isinstance(zero.p, float)
+    assert sample_graph(zero, 0).n_edges == 0
+
+
+def test_model_documents_are_read_strictly():
+    base = model_to_dict(fit_degree(STAR4))
+    for key, value, message in [
+        ("scale", "0.1", "model.scale must be a number, got '0.1'"),
+        ("n_nodes", 4.7, "model.n_nodes must be an integer, got 4.7"),
+        ("labels", "abcd", "model.labels must be a JSON array"),
+        ("labels", ["0", "1", "2", 3], "model.labels[3] must be a string, got 3"),
+        ("scale", math.nan, "invalid model: scale must be finite and positive"),
+        ("scale", math.inf, "invalid model: scale must be finite and positive"),
+        ("degrees", [2.9, 1, 1, 1], "invalid model: degrees must hold only integers"),
+        ("degrees", [True, 1, 1, 1], "invalid model: degrees must hold only integers"),
+        ("mode", "plugin", "invalid model: unknown degree mode 'plugin'"),
+        ("extra", 1, "unknown key(s) in model: extra"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            model_from_dict(dict(base, **{key: value}))
+        assert str(info.value) == message
+    for doc in ([], {"n_nodes": 4}, dict(base, variant=True), dict(base, variant="ER")):
+        with pytest.raises(ValueError):
+            model_from_dict(doc)
+    sbm = model_to_dict(fit_sbm(DC_GRAPH, DC_PART))
+    with pytest.raises(ConfigError, match="model.k must be an integer, got True"):
+        model_from_dict(dict(sbm, k=True))
+
+
+def test_model_classes_validate_their_fields():
+    labels = ("a", "b", "c")
+    # float fields are coerced, so an integer probability samples like a float one
+    assert sample_graph(ErModel(3, labels, 1), 0).n_edges == 3
+    assert DegreeModel(3, labels, 1, [1, 1, 0], "chung_lu").scale == 1.0
+    for build in [
+        lambda: ErModel(3, ("a", "a", "b"), 0.5),  # duplicate labels
+        lambda: DegreeModel(3, labels, math.nan, [1, 1, 0], "chung_lu"),
+        lambda: DegreeModel(3, labels, 0.5, [1.5, 1, 0], "chung_lu"),
+        lambda: DegreeModel(3, labels, 0.5, np.array([True, True, False]), "chung_lu"),
+        lambda: SbmModel(3, labels, ["0", "0", "0"], 1, [[0.5]]),
+        lambda: SbmModel(3, labels, [[0, 0], [0]], 1, [[0.5]]),  # ragged
+        lambda: SbmModel(3, labels, [0, 0, 0], 1, [[math.nan]]),
+        lambda: SbmModel(3, labels, [0, 0, 0], 10 ** 30, [[0.5]]),
+        lambda: DcsbmModel(2, ("a", "b"), [0, 0], 1, [0.5, 0.5], [[math.inf]], "exact"),
+        lambda: DcsbmModel(2, ("a", "b"), [0, 0], 1, [math.nan, 0.5], [[1.0]], "exact"),
+        lambda: DcsbmModel(2, ("a", "b"), [0, 10 ** 30], 1, [0.5, 0.5], [[1.0]], "exact"),
+    ]:
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_sampling_respects_degenerate_probabilities():
