@@ -14,7 +14,7 @@ import sys
 
 from .community import Partition, SpectralConfig, write_partition_csv
 from .errors import ConfigError, DataError, NumericError
-from .graph import read_graph, write_edge_list
+from .graph import check_edge_list_labels, read_graph, write_edge_list
 from .harness import (
     DATASET_FORMATS,
     MODEL_VARIANTS,
@@ -41,7 +41,7 @@ from .models import (
     save_model,
 )
 from .seeding import derived_rng, derived_seed
-from .sir import SirParams, write_trajectories_csv
+from .sir import SirParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,6 +114,7 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
     model = load_model(args.model)
+    check_edge_list_labels(model.labels)
     os.makedirs(args.output_dir, exist_ok=True)
     for i in range(args.count):
         sampled = sample_graph(model, derived_rng(args.seed, i))
@@ -139,17 +140,13 @@ def cmd_simulate(args) -> int:
     else:
         g = read_graph(args.path, args.format)
         ensemble_seed = args.seed
-    totals, trajectories = simulate_ensemble(
-        g, params, args.runs, (ensemble_seed,), keep=bool(args.trajectories_out))
+    totals = simulate_ensemble(g, params, args.runs, (ensemble_seed,), args.trajectories_out)
     curves = counts_to_curves(totals, args.runs, g.n_nodes)
     if args.curves_out:
         with open(args.curves_out, "w", encoding="utf-8") as fh:
             write_curves_csv(curves, fh)
     else:
         write_curves_csv(curves, sys.stdout)
-    if args.trajectories_out:
-        with open(args.trajectories_out, "w", encoding="utf-8") as fh:
-            write_trajectories_csv(trajectories, fh)
     return 0
 
 
@@ -181,8 +178,7 @@ def cmd_experiment(args) -> int:
     report = run_experiment(config)
     sys.stdout.write(render_quality_table(report.rows))
     print(f"report written to {config.output_dir}", file=sys.stderr)
-    if report.wall_clock_seconds is not None:
-        print(f"wall clock: {report.wall_clock_seconds:.2f}s", file=sys.stderr)
+    print(f"wall clock: {report.wall_clock_seconds:.2f}s", file=sys.stderr)
     return 0
 
 

@@ -223,11 +223,16 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     return Graph(len(labels), edges, labels=tuple(labels))
 
 
-def write_edge_list(g: Graph, stream) -> None:
-    """Write a Graph in the edge-list format understood by load_edge_list."""
-    for lab in g.labels:
+def check_edge_list_labels(labels) -> None:
+    """Raise ValueError if some label cannot be written as an edge-list token."""
+    for lab in labels:
         if not lab or lab.startswith(("%", "#")) or _TOKEN_SPLIT.search(lab):
             raise ValueError(f"label {lab!r} cannot be written to an edge list")
+
+
+def write_edge_list(g: Graph, stream) -> None:
+    """Write a Graph in the edge-list format understood by load_edge_list."""
+    check_edge_list_labels(g.labels)
     stream.write(f"{_HEADER_TAG} {g.n_nodes}\n")
     for i, j in g.edges:
         stream.write(f"{g.labels[i]} {g.labels[j]}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from .models import (
 )
 from .schema import from_json, to_json
 from .seeding import derived_rng
-from .sir import SirParams, simulate_sir, write_trajectories_csv
+from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, write_trajectory_rows
 
 TOOL_VERSION = "0.1.0"
 
@@ -193,25 +194,29 @@ def dataset_stats(path: str, fmt: str = "edge_list") -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
-def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, keep: bool = False):
+def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, trajectories=None):
     """Summed S/I/R counts over `runs` epidemics; run r seeded by (*seed_path, r).
 
-    Returns (totals, trajectories): totals holds one row of count sums per
-    compartment, and the trajectories come back in run order only when `keep`
-    is set (None otherwise).
+    Returns one row of count sums per compartment. When `trajectories` names a
+    file, every run's run,t,S,I,R rows are written to it as soon as the run
+    ends; nothing is opened unless the arguments are valid.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    check_runnable(g, params)
     totals = np.zeros((3, params.steps + 1), dtype=np.int64)
-    kept = [] if keep else None
-    for r in range(runs):
-        traj = simulate_sir(g, params, derived_rng(*seed_path, r))
-        totals[0] += traj.s_counts
-        totals[1] += traj.i_counts
-        totals[2] += traj.r_counts
-        if keep:
-            kept.append(traj)
-    return totals, kept
+    with nullcontext() if trajectories is None else open(
+            trajectories, "w", encoding="utf-8") as out:
+        if out is not None:
+            out.write(TRAJECTORY_HEADER)
+        for r in range(runs):
+            traj = simulate_sir(g, params, derived_rng(*seed_path, r))
+            totals[0] += traj.s_counts
+            totals[1] += traj.i_counts
+            totals[2] += traj.r_counts
+            if out is not None:
+                write_trajectory_rows(out, r, traj)
+    return totals
 
 
 def fit_model(g: Graph, spec: ModelSpec, partition: Partition | None = None):
@@ -247,7 +252,6 @@ class ModelResult:
     row: QualityRow
     curves: MeanCurves
     details: dict
-    trajectories: list | None = None
 
 
 @dataclass
@@ -257,8 +261,7 @@ class ResultsReport:
     model_details: list[dict]
     curves: dict[str, MeanCurves]
     provenance: dict
-    wall_clock_seconds: float | None = None
-    trajectories: dict | None = None
+    wall_clock_seconds: float
 
     def to_json_dict(self) -> dict:
         # wall clock intentionally left out: report bytes stay deterministic
@@ -270,17 +273,18 @@ class ResultsReport:
         }
 
 
-def _evaluate_model(g, spec, model, model_index, config, actual, keep):
+def _evaluate_model(g, spec, model, model_index, config, actual, trajectory_dir):
     ens = config.ensemble
     seed = config.master_seed
     per_network = [
         simulate_ensemble(
             sample_graph(model, derived_rng(seed, _BRANCH_SAMPLE, model_index, ni)),
-            config.sir, ens.runs_per_network, (seed, _BRANCH_EPIDEMIC, model_index, ni), keep,
+            config.sir, ens.runs_per_network, (seed, _BRANCH_EPIDEMIC, model_index, ni),
+            trajectory_dir and trajectory_dir / spec.name / f"network_{ni:03d}.csv",
         )
         for ni in range(ens.sampled_networks)
     ]
-    totals = sum(sums for sums, _ in per_network)
+    totals = sum(per_network)
     pooled = counts_to_curves(totals, ens.sampled_networks * ens.runs_per_network, g.n_nodes)
 
     quadrature = config.metrics.quadrature
@@ -290,7 +294,7 @@ def _evaluate_model(g, spec, model, model_index, config, actual, keep):
         areas = [
             area_between(counts_to_curves(sums, ens.runs_per_network, g.n_nodes),
                          actual, quadrature=quadrature)
-            for sums, _ in per_network
+            for sums in per_network
         ]
         area = float(sum(areas) / len(areas))
 
@@ -307,8 +311,7 @@ def _evaluate_model(g, spec, model, model_index, config, actual, keep):
         "area_between_sir_curves": area,
         "neg_log_likelihood_per_pair": nll,
     }
-    trajectories = [kept for _, kept in per_network] if keep else None
-    return ModelResult(spec, row, pooled, details, trajectories)
+    return ModelResult(spec, row, pooled, details)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsReport:
@@ -323,24 +326,27 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
         spec.spectral for spec in config.models if spec.variant in ("sbm", "dcsbm"))}
     models = [fit_model(g, spec, partitions.get(spec.spectral)) for spec in config.models]
 
-    keep = config.save_trajectories
-    actual_totals, actual_trajs = simulate_ensemble(
-        g, config.sir, config.ensemble.actual_runs, (config.master_seed, _BRANCH_ACTUAL), keep,
+    # each ensemble writes its runs' counts under here while it runs
+    trajectory_dir = None
+    if config.save_trajectories:
+        trajectory_dir = Path(config.output_dir) / "trajectories"
+        for spec in config.models:
+            (trajectory_dir / spec.name).mkdir(parents=True, exist_ok=True)
+    actual_totals = simulate_ensemble(
+        g, config.sir, config.ensemble.actual_runs, (config.master_seed, _BRANCH_ACTUAL),
+        trajectory_dir and trajectory_dir / "actual.csv",
     )
     actual = counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)
 
     # popped, not iterated, so no model's cached N x N matrix outlives its evaluation
     results = [
-        _evaluate_model(g, spec, models.pop(0), mi, config, actual, keep)
+        _evaluate_model(g, spec, models.pop(0), mi, config, actual, trajectory_dir)
         for mi, spec in enumerate(config.models)
     ]
 
     curves = {"actual": actual}
-    trajectories = {"actual": actual_trajs} if keep else None
     for res in results:
         curves[res.spec.name] = res.curves
-        if keep:
-            trajectories[res.spec.name] = res.trajectories
 
     report = ResultsReport(
         dataset=graph_summary(g, config.dataset.path, config.dataset.format),
@@ -353,9 +359,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
             "master_seed": config.master_seed,
             "config": config_to_dict(config),
         },
-        trajectories=trajectories,
+        wall_clock_seconds=time.perf_counter() - started,
     )
-    report.wall_clock_seconds = time.perf_counter() - started
     write_artifacts(report, config)
     return report
 
@@ -371,16 +376,3 @@ def write_artifacts(report: ResultsReport, config: ExperimentConfig) -> None:
     for name, curves in report.curves.items():
         with open(out / f"curves_{name}.csv", "w", encoding="utf-8") as fh:
             write_curves_csv(curves, fh)
-    if report.trajectories is not None:
-        base = out / "trajectories"
-        base.mkdir(exist_ok=True)
-        for name, trajs in report.trajectories.items():
-            if name == "actual":
-                with open(base / "actual.csv", "w", encoding="utf-8") as fh:
-                    write_trajectories_csv(trajs, fh)
-                continue
-            model_dir = base / name
-            model_dir.mkdir(exist_ok=True)
-            for ni, net_trajs in enumerate(trajs):
-                with open(model_dir / f"network_{ni:03d}.csv", "w", encoding="utf-8") as fh:
-                    write_trajectories_csv(net_trajs, fh)

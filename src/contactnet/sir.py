@@ -71,9 +71,15 @@ def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
         if init.size and (init.min() < 0 or init.max() >= n):
             raise ValueError("initial node index out of range")
         return init
-    if params.initial_infectious > n:
-        raise ValueError("initial_infectious cannot exceed the node count")
     return rng.choice(n, size=params.initial_infectious, replace=False)
+
+
+def check_runnable(g: Graph, params: SirParams, initial_nodes=None) -> None:
+    """Raise ValueError unless simulate_sir can start a run of `params` on `g`."""
+    if g.n_nodes < 1:
+        raise ValueError("simulation needs at least one node")
+    if initial_nodes is None and params.initial_infectious > g.n_nodes:
+        raise ValueError("initial_infectious cannot exceed the node count")
 
 
 def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajectory:
@@ -87,8 +93,7 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     both in node-index order. Nothing is drawn once no node is infectious. So
     the trajectory is a pure function of (g, params, seed).
     """
-    if g.n_nodes < 1:
-        raise ValueError("simulation needs at least one node")
+    check_runnable(g, params, initial_nodes)
     rng = np.random.default_rng(rng)
     n = g.n_nodes
     init = _resolve_initial(g, params, rng, initial_nodes)
@@ -144,13 +149,13 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     return Trajectory(s_counts, i_counts, n - s_counts - i_counts)
 
 
-def write_trajectories_csv(trajectories, stream) -> None:
-    """Dump trajectories as run,t,S,I,R rows."""
-    stream.write("run,t,S,I,R\n")
-    for run, traj in enumerate(trajectories):
-        # one write per run: a whole file's rows at once would raise peak memory
-        counts = zip(traj.s_counts.tolist(), traj.i_counts.tolist(), traj.r_counts.tolist())
-        stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
+TRAJECTORY_HEADER = "run,t,S,I,R\n"
+
+
+def write_trajectory_rows(stream, run: int, traj: Trajectory) -> None:
+    """Write one run's counts as the run,t,S,I,R rows under TRAJECTORY_HEADER."""
+    counts = zip(traj.s_counts.tolist(), traj.i_counts.tolist(), traj.r_counts.tolist())
+    stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,6 @@ def test_run_experiment_report_and_artifacts(dataset, tmp_path):
     assert report.wall_clock_seconds is not None
     assert set(report.curves) == {"actual", "er", "degree", "sbm", "dcsbm"}
     assert all(len(c.s_frac) == 7 for c in report.curves.values())
-    assert report.trajectories is None
 
     names = sorted(os.listdir(out))
     assert names == ["curves_actual.csv", "curves_dcsbm.csv", "curves_degree.csv",
@@ -414,6 +413,31 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     assert cli.main(["fit", str(lonely), "--model", "sbm",
                      "--regularization", "0"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad_args", [["--initial-infectious", "13"], ["--runs", "0"]])
+def test_cli_simulate_failure_writes_no_trajectories(dataset, tmp_path, capsys, bad_args):
+    traj = tmp_path / "t.csv"
+    assert cli.main(["simulate", dataset, "--trajectories-out", str(traj), *bad_args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not traj.exists()
+
+
+def test_cli_sample_unwritable_label_creates_nothing(tmp_path, capsys):
+    contacts = tmp_path / "contacts.csv"
+    contacts.write_text("time,node_a,node_b\n1,alice smith,bob\n2,bob,carol\n")
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", str(contacts), "--format", "contacts", "--model", "er",
+                     "-o", str(model_path)]) == 0
+    capsys.readouterr()
+    nets = tmp_path / "nets"
+    assert cli.main(["sample", str(model_path), "--output-dir", str(nets)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "alice smith" in captured.err
+    assert captured.out == ""
+    assert not nets.exists()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -14,9 +14,9 @@ from contactnet import (
     exact_sir_expected_curves,
     simulate_ensemble,
     simulate_sir,
-    write_trajectories_csv,
+    write_trajectory_rows,
 )
-from contactnet.sir import ORACLE_MAX_NODES, ORACLE_MAX_STEPS
+from contactnet.sir import ORACLE_MAX_NODES, ORACLE_MAX_STEPS, TRAJECTORY_HEADER
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K2 = Graph(2, [(0, 1)])
@@ -107,26 +107,24 @@ def test_same_seed_gives_identical_runs():
     assert np.array_equal(a.s_counts, b.s_counts)
 
 
-def test_ensemble_runs_reproduce_single_run_streams():
+def test_ensemble_runs_reproduce_single_run_streams(tmp_path):
     params = SirParams(0.5, 0.2, steps=6)
-    totals, runs = simulate_ensemble(P4, params, 5, (123,), keep=True)
-    assert len(runs) == 5
-    for r, t in enumerate(runs):
-        solo = simulate_sir(P4, params, derived_rng(123, r))
-        assert np.array_equal(t.s_counts, solo.s_counts)
-        assert np.array_equal(t.i_counts, solo.i_counts)
-        assert np.array_equal(t.r_counts, solo.r_counts)
-    summed = np.sum([[t.s_counts, t.i_counts, t.r_counts] for t in runs], axis=0)
-    assert np.array_equal(totals, summed)
-    unkept, none = simulate_ensemble(P4, params, 5, (123,))
-    assert none is None
-    assert np.array_equal(unkept, totals)
+    path = tmp_path / "runs.csv"
+    totals = simulate_ensemble(P4, params, 5, (123,), path)
+    expected = io.StringIO()
+    expected.write(TRAJECTORY_HEADER)
+    for r in range(5):
+        write_trajectory_rows(expected, r, simulate_sir(P4, params, derived_rng(123, r)))
+    assert path.read_text(encoding="utf-8") == expected.getvalue()
+    assert np.array_equal(totals, simulate_ensemble(P4, params, 5, (123,)))
 
 
 def test_trajectory_csv_layout():
     t = Trajectory(np.array([1, 0]), np.array([1, 1]), np.array([0, 1]))
     buf = io.StringIO()
-    write_trajectories_csv([t, t], buf)
+    buf.write(TRAJECTORY_HEADER)
+    write_trajectory_rows(buf, 0, t)
+    write_trajectory_rows(buf, 1, t)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "run,t,S,I,R"
     assert lines[1] == "0,0,1,1,0"
@@ -134,13 +132,13 @@ def test_trajectory_csv_layout():
 
 
 def test_trajectory_csv_text():
-    buf = io.StringIO()
-    write_trajectories_csv([], buf)
-    assert buf.getvalue() == "run,t,S,I,R\n"
+    assert TRAJECTORY_HEADER == "run,t,S,I,R\n"
     short = Trajectory(np.array([2]), np.array([1]), np.array([0]))
     long = Trajectory(np.array([2, 1, 1]), np.array([1, 1, 0]), np.array([0, 1, 2]))
     buf = io.StringIO()
-    write_trajectories_csv([short, long], buf)
+    buf.write(TRAJECTORY_HEADER)
+    write_trajectory_rows(buf, 0, short)
+    write_trajectory_rows(buf, 1, long)
     assert buf.getvalue() == (
         "run,t,S,I,R\n0,0,2,1,0\n1,0,2,1,0\n1,1,1,1,1\n1,2,1,0,2\n"
     )
