@@ -16,6 +16,8 @@ from .errors import ParseError, UndefinedStatisticError
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 _HEADER_TAG = "%N"
+# the largest node count whose edge keys i * n + j fit in int64
+MAX_NODES = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class Graph:
         n_nodes = int(n_nodes)
         if n_nodes < 0:
             raise ValueError("n_nodes must be nonnegative")
+        if n_nodes > MAX_NODES:
+            raise ValueError(f"n_nodes must be at most {MAX_NODES}")
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
@@ -65,8 +69,12 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            arr = np.sort(arr, axis=1)
-            arr = np.unique(arr, axis=0)
+            # one int64 key per edge, min * n + max, sorted and deduplicated; a
+            # stable sort is linear on edges that arrive sorted, as sampled ones do
+            key = np.minimum(arr[:, 0], arr[:, 1]) * n_nodes + np.maximum(arr[:, 0], arr[:, 1])
+            key = np.sort(key, kind="stable")
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            arr = np.column_stack(np.divmod(key, n_nodes))
         arr.setflags(write=False)
 
         if labels is None:
@@ -100,14 +108,6 @@ class Graph:
         return self._labels
 
     @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self._labels)}
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((int(i), int(j)) for i, j in self._edges)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self._edges.ravel(), minlength=self._n_nodes).astype(np.int64)
         deg.setflags(write=False)
@@ -135,11 +135,6 @@ class Graph:
             raise ValueError(f"node index {i} out of range")
         a = self._csr
         return a.indices[a.indptr[i]:a.indptr[i + 1]].astype(np.int64)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edge_set
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -338,7 +338,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     )
     actual = counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)
 
-    # popped, not iterated, so no model's cached N x N matrix outlives its evaluation
+    # popped, not iterated, so no model's cached pair probabilities outlive its evaluation
     results = [
         _evaluate_model(g, spec, models.pop(0), mi, config, actual, trajectory_dir)
         for mi, spec in enumerate(config.models)

@@ -33,28 +33,46 @@ class EdgeProbabilityModel:
     variant = ""
 
     def probability_matrix(self) -> np.ndarray:
-        """Full N x N symmetric probability matrix with a zero diagonal (read-only)."""
-        return self._built[0]
+        """Full N x N symmetric probability matrix with a zero diagonal, built on request."""
+        m = self._matrix()
+        np.fill_diagonal(m, 0.0)
+        np.minimum(m, 1.0, out=m)
+        return m
+
+    def pair_probabilities(self) -> np.ndarray:
+        """Probabilities of the pairs i < j in lexicographic order (read-only, cached)."""
+        return self._pairs[0]
 
     @property
     def capped(self) -> bool:
         """True when some pair's raw formula value exceeded 1 and was capped."""
-        return self._built[1]
+        return self._pairs[1]
 
     @cached_property
-    def _built(self) -> tuple[np.ndarray, bool]:
-        m = self._matrix()
-        np.fill_diagonal(m, 0.0)
-        capped = bool(np.any(m > 1.0))
-        np.minimum(m, 1.0, out=m)
-        m.setflags(write=False)
-        return m, capped
+    def _pairs(self) -> tuple[np.ndarray, bool]:
+        p = self._matrix()[_upper_pairs(self.n_nodes)]
+        capped = bool(np.any(p > 1.0))
+        np.minimum(p, 1.0, out=p)
+        p.setflags(write=False)
+        return p, capped
 
     def parameter_count(self) -> int:
         raise NotImplementedError
 
     def _matrix(self) -> np.ndarray:
         raise NotImplementedError
+
+
+def _upper_pairs(n: int) -> np.ndarray:
+    """N x N boolean mask of the pairs i < j; indexing with it yields them in lexicographic order."""
+    i = np.arange(n)
+    return i[:, None] < i
+
+
+def _pair_starts(n: int) -> np.ndarray:
+    """Position of pair (i, i + 1) in the lexicographic list of pairs i < j, for each i."""
+    i = np.arange(n)
+    return i * (2 * n - i - 1) // 2
 
 
 def _freeze_array(model, name: str, integer: bool = False) -> None:
@@ -236,8 +254,7 @@ def fit_er(g: Graph) -> ErModel:
 def _capped_sum_scale(degrees: np.ndarray, target: int) -> float:
     """Scale s with sum over pairs of min(1, s*d_i*d_j) = target, by bisection."""
     d = degrees[degrees > 0].astype(float)
-    iu = np.triu_indices(len(d), 1)
-    products = d[iu[0]] * d[iu[1]]
+    products = np.outer(d, d)[_upper_pairs(len(d))]
     uncapped = target / products.sum()
     if uncapped * products.max() <= 1.0:
         return uncapped
@@ -322,16 +339,17 @@ def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel
 def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
     """Draw a graph: each pair i < j included independently with its model probability.
 
-    Pairs are consumed in lexicographic order, so the result is a pure
+    One uniform per pair, in lexicographic pair order; the pair is an edge
+    when its uniform is below the pair's probability. So the result is a pure
     function of (model, seed). Accepts a Generator or a seed.
     """
     rng = np.random.default_rng(rng)
-    n = model.n_nodes
-    rows, cols = np.triu_indices(n, 1)
-    probs = model.probability_matrix()[rows, cols]
-    keep = rng.random(len(probs)) < probs
-    edges = np.column_stack((rows[keep], cols[keep]))
-    return Graph(n, edges, labels=model.labels)
+    probs = model.pair_probabilities()
+    kept = np.flatnonzero(rng.random(len(probs)) < probs)
+    starts = _pair_starts(model.n_nodes)
+    rows = np.searchsorted(starts, kept, side="right") - 1
+    cols = kept - starts[rows] + rows + 1
+    return Graph(model.n_nodes, np.column_stack((rows, cols)), labels=model.labels)
 
 
 def log_likelihood_per_pair(model: EdgeProbabilityModel, g: Graph) -> float:
@@ -345,12 +363,10 @@ def log_likelihood_per_pair(model: EdgeProbabilityModel, g: Graph) -> float:
     n = g.n_nodes
     if n < 2:
         raise ValueError("log-likelihood per pair needs at least 2 nodes")
-    rows, cols = np.triu_indices(n, 1)
-    probs = model.probability_matrix()[rows, cols]
-    present = np.zeros((n, n), dtype=bool)
-    if g.n_edges:
-        present[g.edges[:, 0], g.edges[:, 1]] = True
-    present = present[rows, cols]
+    probs = model.pair_probabilities()
+    present = np.zeros(len(probs), dtype=bool)
+    rows, cols = g.edges.T
+    present[_pair_starts(n)[rows] + cols - rows - 1] = True
     with np.errstate(divide="ignore"):
         terms = np.where(present, np.log(probs), np.log1p(-probs))
     return float(terms.sum() / math.comb(n, 2))

@@ -21,6 +21,7 @@ from contactnet import (
     read_graph,
     write_edge_list,
 )
+from contactnet.graph import MAX_NODES
 
 
 def test_edges_are_canonicalized():
@@ -35,6 +36,8 @@ def test_edges_are_canonicalized():
 def test_graph_rejects_bad_edges_and_labels():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
+    with pytest.raises(ValueError, match="at most"):
+        Graph(MAX_NODES + 1, [(0, 1)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
     with pytest.raises(ValueError):
@@ -56,8 +59,8 @@ def test_adjacency_and_neighbors():
     assert np.array_equal(sparse.toarray(), dense)
     assert sorted(g.neighbors(1).tolist()) == [0, 2, 3]
     assert g.neighbors(0).tolist() == [1]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert [0, 1] in g.edges.tolist() and [1, 0] not in g.edges.tolist()
+    assert [0, 2] not in g.edges.tolist()
 
 
 def test_equality_ignores_edge_input_order():
@@ -71,7 +74,7 @@ def test_equality_ignores_edge_input_order():
 def test_default_labels_are_indices():
     g = Graph(3, [(0, 1)])
     assert g.labels == ("0", "1", "2")
-    assert g.label_index["1"] == 1
+    assert g.labels.index("1") == 1
 
 
 def test_edge_list_round_trip_is_exact_for_labeled_edges():
@@ -134,7 +137,7 @@ def test_attendance_loader_projects_cooccurrence():
     g = attendance_to_graph(load_attendance(rows.splitlines()))
     assert g.labels == ("a", "b", "c", "d", "z")
     # e1 yields a triangle, e2 one edge, e3 an isolated attendee
-    assert g.edge_set == {(0, 1), (0, 2), (1, 2), (1, 3)}
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
 
 
 def test_csv_loaders_reject_missing_columns():
@@ -202,3 +205,22 @@ def test_statistics_match_combinatorial_definitions():
         m = g.n_edges
         assert density(g) == pytest.approx(m / math.comb(n, 2))
         assert degree_stats(g).average == pytest.approx(2 * m / n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonical_edges_match_sort_then_unique(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    edges = rng.integers(0, n, (int(rng.integers(1, 300)), 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    # reversed duplicates of half the rows, shuffled in
+    edges = rng.permutation(np.concatenate((edges, edges[: len(edges) // 2, ::-1])))
+    reference = np.unique(np.sort(edges, axis=1), axis=0)
+    g = Graph(n, edges)
+    assert np.array_equal(g.edges, reference)
+    assert g.edges.dtype == reference.dtype
+    assert g == Graph(n, reference)
+
+
+def test_node_cap_keeps_edge_keys_inside_int64():
+    assert MAX_NODES ** 2 <= np.iinfo(np.int64).max < (MAX_NODES + 1) ** 2

@@ -342,3 +342,119 @@ def test_fit_er_maximizes_likelihood(n, bits, alt_p):
     fitted = fit_er(g)
     rival = ErModel(n, g.labels, alt_p)
     assert log_likelihood_per_pair(fitted, g) >= log_likelihood_per_pair(rival, g) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the pair vector against reference copies of the N x N code it replaced
+
+def reference_probability_matrix(model):
+    m = model._matrix()
+    np.fill_diagonal(m, 0.0)
+    capped = bool(np.any(m > 1.0))
+    np.minimum(m, 1.0, out=m)
+    return m, capped
+
+
+def reference_sample_edges(model, rng):
+    rows, cols = np.triu_indices(model.n_nodes, 1)
+    probs = reference_probability_matrix(model)[0][rows, cols]
+    keep = rng.random(len(probs)) < probs
+    return np.column_stack((rows[keep], cols[keep]))
+
+
+def reference_log_likelihood_per_pair(model, g):
+    n = g.n_nodes
+    rows, cols = np.triu_indices(n, 1)
+    probs = reference_probability_matrix(model)[0][rows, cols]
+    present = np.zeros((n, n), dtype=bool)
+    if g.n_edges:
+        present[g.edges[:, 0], g.edges[:, 1]] = True
+    present = present[rows, cols]
+    with np.errstate(divide="ignore"):
+        terms = np.where(present, np.log(probs), np.log1p(-probs))
+    return float(terms.sum() / math.comb(n, 2))
+
+
+def models_of_every_kind(n, seed):
+    """Each variant with random parameters, some pairs at probability 0 or 1, and
+    a degree model and a dcsbm whose raw values exceed 1 (capped)."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(str(i) for i in range(n))
+    k = min(n, 3)
+    assign = np.arange(n) % k
+    blocks = rng.random((k, k))
+    blocks[0, -1] = 0.0
+    blocks[-1, -1] = 1.0
+    blocks = np.triu(blocks) + np.triu(blocks, 1).T
+    degrees = rng.integers(0, 6, n)
+    weight = rng.random(n) + 0.01
+    share = weight / np.bincount(assign, weights=weight)[assign]
+    rates = rng.random((k, k)) * n
+    rates = rates + rates.T
+    models = [
+        ErModel(n, labels, float(rng.random())),
+        ErModel(n, labels, 1.0),
+        DegreeModel(n, labels, 0.02, degrees, "exact_sum"),
+        DegreeModel(n, labels, 0.5, degrees, "chung_lu"),
+        SbmModel(n, labels, assign, k, blocks),
+        DcsbmModel(n, labels, assign, k, share, rates, "plugin"),
+        DcsbmModel(n, labels, assign, k, share, rates * n, "exact"),
+    ]
+    if n >= 2:
+        g = sample_graph(models[4], rng)
+        part = Partition.from_assignments(g, assign)
+        models += [fit_er(g), fit_sbm(g, part)]
+        if g.n_edges:
+            models.append(fit_degree(g))
+        if np.all(np.bincount(assign, weights=g.degrees) > 0):
+            models.append(fit_dcsbm(g, part))
+    return models
+
+
+SIZES = (1, 2, 3, 57, 201)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_probability_matrix_and_capped_match_the_reference(n):
+    capped = []
+    for model in models_of_every_kind(n, seed=n):
+        matrix, was_capped = reference_probability_matrix(model)
+        assert np.array_equal(model.probability_matrix(), matrix)
+        assert model.capped == was_capped
+        capped.append(was_capped)
+        assert np.array_equal(model.pair_probabilities(), matrix[np.triu_indices(n, 1)])
+        assert not model.pair_probabilities().flags.writeable
+    if n >= 3:
+        assert any(capped) and not all(capped)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sampling_matches_the_reference_sampler(n):
+    for seed in range(4):
+        for model in models_of_every_kind(n, seed):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = sample_graph(model, rng)
+            edges = reference_sample_edges(model, ref_rng)
+            assert np.array_equal(g.edges, edges)
+            assert g.edges.dtype == np.int64
+            assert g.labels == model.labels
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_log_likelihood_matches_the_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    infinite = 0
+    for model in models_of_every_kind(n, seed=n):
+        own = sample_graph(model, rng)
+        dense = Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.3, 1)))
+        for g in (own, dense, Graph(n)):
+            value = log_likelihood_per_pair(model, g)
+            assert value == reference_log_likelihood_per_pair(model, g)
+            infinite += value == -math.inf
+    assert infinite > 0
+    # p = 0 on an observed edge and p = 1 on an absent pair
+    for p, g in ((0.0, Graph(n, [(0, n - 1)])), (1.0, Graph(n))):
+        model = ErModel(n, tuple(map(str, range(n))), p)
+        assert log_likelihood_per_pair(model, g) == -math.inf
+        assert reference_log_likelihood_per_pair(model, g) == -math.inf
