@@ -138,7 +138,7 @@ def regularized_laplacian(g: Graph, regularization: float) -> np.ndarray:
             "zero regularization with an isolated node makes the degree scaling singular"
         )
     inv_sqrt = 1.0 / np.sqrt(scale)
-    a = g.adjacency_matrix(dense=True)
+    a = g.adjacency_matrix()
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 

@@ -112,7 +112,7 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     s_now, i_now = n - len(init), len(init)
     s_counts[0], i_counts[0] = s_now, i_now
 
-    adjacency = g.adjacency_matrix()
+    tails, heads = g.arcs
     # infection probability by number of infectious neighbours; entry 0 is 0
     p_by_contacts = 1.0 - (1.0 - params.infection_probability) ** np.arange(
         int(g.degrees.max()) + 1
@@ -133,7 +133,8 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
             break
         # thresholds depend only on the state: rebuild them only after a change
         if moved:
-            rates[:n] = p_by_contacts[adjacency @ infectious]
+            # infectious neighbours per node: the heads of arcs out of infectious tails
+            rates[:n] = p_by_contacts[np.bincount(heads[infectious[tails]], minlength=n)]
             np.multiply(rates, state, out=threshold)
         rng.random(out=draws)
         np.less(draws, threshold, out=fired)

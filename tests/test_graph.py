@@ -21,7 +21,8 @@ from contactnet import (
     read_graph,
     write_edge_list,
 )
-from contactnet.graph import MAX_NODES
+import contactnet.graph as graph_module
+from contactnet.graph import MAX_NODES, _triangles_per_node
 
 
 def test_edges_are_canonicalized():
@@ -48,15 +49,13 @@ def test_graph_rejects_bad_edges_and_labels():
 
 def test_adjacency_and_neighbors():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-    dense = g.adjacency_matrix(dense=True)
+    dense = g.adjacency_matrix()
     assert dense.tolist() == [
         [0, 1, 0, 0],
         [1, 0, 1, 1],
         [0, 1, 0, 0],
         [0, 1, 0, 0],
     ]
-    sparse = g.adjacency_matrix()
-    assert np.array_equal(sparse.toarray(), dense)
     assert sorted(g.neighbors(1).tolist()) == [0, 2, 3]
     assert g.neighbors(0).tolist() == [1]
     assert [0, 1] in g.edges.tolist() and [1, 0] not in g.edges.tolist()
@@ -224,3 +223,57 @@ def test_canonical_edges_match_sort_then_unique(seed):
 
 def test_node_cap_keeps_edge_keys_inside_int64():
     assert MAX_NODES ** 2 <= np.iinfo(np.int64).max < (MAX_NODES + 1) ** 2
+
+
+def _random_graph(rng, n, p):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, [pair for pair in pairs if rng.random() < p])
+
+
+def test_arcs_hold_both_directions_in_csr_order():
+    rng = np.random.default_rng(11)
+    for g in [Graph(0), Graph(3)] + [_random_graph(rng, int(rng.integers(1, 30)), 0.3)
+                                     for _ in range(30)]:
+        tails, heads = g.arcs
+        both = np.concatenate((g.edges, g.edges[:, ::-1]))
+        assert np.array_equal(np.column_stack((tails, heads)), both[np.lexsort(both.T[::-1])])
+        assert not tails.flags.writeable and not heads.flags.writeable
+        assert np.array_equal(g.adjacency_matrix().sum(axis=1), g.degrees)
+        for i in range(g.n_nodes):
+            assert g.neighbors(i).tolist() == sorted(
+                int(b if a == i else a) for a, b in g.edges if i in (a, b))
+
+
+def _brute_force_triangles(g):
+    """Triangles at each node by intersecting the neighbour sets of every edge's ends."""
+    nbrs = [set() for _ in range(g.n_nodes)]
+    for i, j in g.edges.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    tri = np.zeros(g.n_nodes)
+    for i, j in g.edges.tolist():
+        for k in nbrs[i] & nbrs[j]:
+            tri[[i, j, k]] += 1
+    return tri / 3  # each triangle is found once from each of its edges
+
+
+def _triangle_cases():
+    rng = np.random.default_rng(2005)
+    for _ in range(300):
+        yield _random_graph(rng, int(rng.integers(0, 30)), float(rng.random()))
+    # a star with extra random edges among the leaves: the hub ranks last
+    for n in (5, 40, 200):
+        extra = rng.integers(1, n, (n, 2))
+        yield Graph(n, [(0, i) for i in range(1, n)] + [tuple(e) for e in extra if e[0] != e[1]])
+    for n in (3, 4, 12):
+        yield Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    # isolated nodes around a dense core
+    yield Graph(10, [(2, 5), (5, 7), (2, 7), (7, 9), (2, 9), (5, 9)])
+    yield Graph(6)
+
+
+@pytest.mark.parametrize("block", [graph_module.WEDGE_BLOCK, 1, 7])
+def test_triangles_match_brute_force(block, monkeypatch):
+    monkeypatch.setattr(graph_module, "WEDGE_BLOCK", block)
+    for g in _triangle_cases():
+        assert np.array_equal(_triangles_per_node(g), _brute_force_triangles(g)), g

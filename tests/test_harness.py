@@ -8,6 +8,8 @@ import json
 import math
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -683,3 +685,55 @@ def test_cli_reads_any_data_text(fmt, headed, body):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_python(code, cwd, timeout=120):
+    """A fresh interpreter running `code` in `cwd` with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        SRC_DIR, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, timeout=timeout,
+                          capture_output=True, text=True)
+
+
+def test_every_command_runs_without_scipy(dataset, tmp_path):
+    cfg = {
+        "dataset": {"path": dataset},
+        "sir": {"infection_probability": 0.3, "recovery_probability": 0.2, "steps": 5},
+        "ensemble": {"actual_runs": 6, "sampled_networks": 2, "runs_per_network": 2},
+        "output_dir": "res",
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    commands = [["stats", dataset]]
+    commands += [["fit", dataset, "--model", variant, "-o", f"{variant}.json"]
+                 for variant in ("er", "degree", "sbm", "dcsbm")]
+    commands += [
+        ["sample", "dcsbm.json", "--count", "2", "--output-dir", "nets"],
+        ["simulate", dataset, "--runs", "3", "--steps", "4", "--trajectories-out", "traj.csv"],
+        ["experiment", "cfg.json"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from contactnet import cli\n"
+        f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "assert not any(name.startswith('scipy.') for name in sys.modules)\n"
+        "print('exit codes:', codes)\n"
+    )
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"exit codes: {[0] * len(commands)}", proc.stderr
+    assert (tmp_path / "res" / "report.json").exists()
+    assert (tmp_path / "traj.csv").read_text().count("\n") == 1 + 3 * 5
+
+
+def test_cli_rejects_a_huge_declared_node_count_at_the_header(tmp_path):
+    (tmp_path / "huge.edges").write_text("%N 10000000000\n")
+    # padding up to the count first would grow by gigabytes before the timeout
+    proc = _run_python("import sys\nfrom contactnet import cli\n"
+                       "sys.exit(cli.main(['stats', 'huge.edges']))", tmp_path, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "line 1" in proc.stderr
