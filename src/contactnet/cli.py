@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .community import Partition, SpectralConfig, write_partition_csv
+from .community import EIGENVALUE_ORDERS, Partition, SpectralConfig, write_partition_csv
 from .errors import ConfigError, DataError, NumericError
 from .graph import check_edge_list_labels, read_graph, write_edge_list
 from .harness import (
@@ -27,6 +27,7 @@ from .harness import (
     simulate_ensemble,
 )
 from .metrics import (
+    QUADRATURES,
     area_between,
     counts_to_curves,
     read_curves_csv,
@@ -204,7 +205,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--kmeans-restarts", type=int, default=10)
     sp.add_argument("--kmeans-max-iters", type=int, default=100)
     sp.add_argument("--spectral-seed", type=int, default=0)
-    sp.add_argument("--eigenvalue-order", choices=("abs", "value"), default="abs")
+    sp.add_argument("--eigenvalue-order", choices=EIGENVALUE_ORDERS, default="abs")
     sp.add_argument("-o", "--output", default=None, help="model JSON path (default: stdout)")
     sp.add_argument("--partition-out", default=None, help="write the fitted partition as CSV")
     sp.set_defaults(func=cmd_fit)
@@ -237,7 +238,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("evaluate", help="area between two saved mean-curve files")
     sp.add_argument("actual")
     sp.add_argument("candidate")
-    sp.add_argument("--quadrature", choices=("trapezoid", "rectangle"), default="trapezoid")
+    sp.add_argument("--quadrature", choices=QUADRATURES, default="trapezoid")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("experiment", help="run the full comparison protocol from a config")

@@ -13,6 +13,7 @@ from .graph import Graph
 
 SYMMETRY_TOL = 1e-10
 ZERO_ROW_TOL = 1e-12
+EIGENVALUE_ORDERS = ("abs", "value")
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class SpectralConfig:
             raise ValueError("kmeans_restarts must be at least 1")
         if self.kmeans_max_iters < 1:
             raise ValueError("kmeans_max_iters must be at least 1")
-        if self.eigenvalue_order not in ("abs", "value"):
+        if self.eigenvalue_order not in EIGENVALUE_ORDERS:
             raise ValueError(f"unknown eigenvalue_order {self.eigenvalue_order!r}")
 
 

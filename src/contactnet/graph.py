@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -19,31 +19,7 @@ _HEADER_TAG = "%N"
 MAX_NODES = 3_037_000_499
 # wedges closed per vectorised step of the triangle count, to bound its memory
 WEDGE_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class ContactEvent:
-    """One timed contact between two people. The timestamp is opaque; only the pair matters."""
-
-    time: str
-    node_a: str
-    node_b: str
-
-    def __post_init__(self):
-        if self.node_a == self.node_b:
-            raise ValueError(f"contact joins node {self.node_a!r} to itself")
-
-
-@dataclass(frozen=True)
-class AttendanceRecord:
-    """One person present at one event; co-attendees are treated as pairwise contacts."""
-
-    event_id: str
-    person: str
-
-    def __post_init__(self):
-        if not self.event_id or not self.person:
-            raise ValueError("attendance record needs non-empty event and person labels")
+CLUSTERING_MODES = ("average_local", "global_transitivity")
 
 
 class Graph:
@@ -166,17 +142,10 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     the node count, preserving isolated nodes. Labels map to indices in
     first-appearance order.
     """
-    label_order: dict[str, int] = {}
+    index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     declared: int | None = None
     declared_line = 0
-
-    def index_of(label: str) -> int:
-        idx = label_order.get(label)
-        if idx is None:
-            idx = len(label_order)
-            label_order[label] = idx
-        return idx
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -203,9 +172,9 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         a, b = tokens
         if a == b:
             raise ParseError(f"self-loop on node {a!r}", lineno)
-        edges.append((index_of(a), index_of(b)))
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
 
-    labels = list(label_order)
+    labels = list(index)
     if declared is not None:
         if declared < len(labels):
             raise ParseError(
@@ -243,8 +212,8 @@ def _read_csv_rows(lines: Iterable[str], required: tuple[str, ...]):
     try:
         if reader.fieldnames is None:
             raise ParseError("empty file, expected a CSV header", 1)
-        fields = [f.strip() for f in reader.fieldnames]
-        missing = [c for c in required if c not in fields]
+        reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise ParseError(f"missing required column(s): {', '.join(missing)}", 1)
         for row in reader:
@@ -259,66 +228,40 @@ def _read_csv_rows(lines: Iterable[str], required: tuple[str, ...]):
         raise ParseError(str(exc), reader.reader.line_num) from None
 
 
-def load_contacts(lines: Iterable[str]) -> list[ContactEvent]:
-    """Parse a contact-event CSV with columns time,node_a,node_b."""
-    events = []
+def load_contacts(lines: Iterable[str]) -> Graph:
+    """Graph of a time,node_a,node_b contact CSV: an edge per pair in contact, times collapsed."""
+    index: dict[str, int] = {}
+    edges = []
     for lineno, row in _read_csv_rows(lines, ("time", "node_a", "node_b")):
-        try:
-            events.append(ContactEvent(row["time"], row["node_a"], row["node_b"]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return events
+        a, b = row["node_a"], row["node_b"]
+        if a == b:
+            raise ParseError(f"contact joins node {a!r} to itself", lineno)
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    return Graph(len(index), edges, labels=tuple(index))
 
 
-def load_attendance(lines: Iterable[str]) -> list[AttendanceRecord]:
-    """Parse an attendance CSV with columns event_id,person."""
-    records = []
-    for lineno, row in _read_csv_rows(lines, ("event_id", "person")):
-        try:
-            records.append(AttendanceRecord(row["event_id"], row["person"]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return records
+def load_attendance(lines: Iterable[str]) -> Graph:
+    """Graph of an event_id,person CSV: the union of cliques of each event's distinct attendees."""
+    index: dict[str, int] = {}
+    events: dict[str, dict[int, None]] = {}  # attendees in insertion order, repeats once
+    for _, row in _read_csv_rows(lines, ("event_id", "person")):
+        person = index.setdefault(row["person"], len(index))
+        events.setdefault(row["event_id"], {})[person] = None
+    edges = [pair for attendees in events.values() for pair in combinations(attendees, 2)]
+    return Graph(len(index), edges, labels=tuple(index))
 
 
-def contacts_to_graph(events: list[ContactEvent]) -> Graph:
-    """Static graph with an edge wherever at least one contact occurred, times collapsed."""
-    label_order: dict[str, int] = {}
-    edges = []
-    for ev in events:
-        ia = label_order.setdefault(ev.node_a, len(label_order))
-        ib = label_order.setdefault(ev.node_b, len(label_order))
-        edges.append((ia, ib))
-    return Graph(len(label_order), edges, labels=tuple(label_order))
-
-
-def attendance_to_graph(records: list[AttendanceRecord]) -> Graph:
-    """Union of per-event cliques: all distinct attendees of an event are pairwise connected."""
-    label_order: dict[str, int] = {}
-    by_event: dict[str, list[int]] = {}
-    for rec in records:
-        idx = label_order.setdefault(rec.person, len(label_order))
-        attendees = by_event.setdefault(rec.event_id, [])
-        if idx not in attendees:
-            attendees.append(idx)
-    edges = []
-    for attendees in by_event.values():
-        for pos, i in enumerate(attendees):
-            for j in attendees[pos + 1:]:
-                edges.append((i, j))
-    return Graph(len(label_order), edges, labels=tuple(label_order))
+# the dataset formats, each read from text lines straight into a Graph
+READERS = {"edge_list": load_edge_list, "contacts": load_contacts, "attendance": load_attendance}
 
 
 def read_graph(path: str, fmt: str = "edge_list") -> Graph:
-    """Load a graph file in one of the supported formats."""
-    if fmt not in ("edge_list", "contacts", "attendance"):
+    """Load a graph file in one of the formats of READERS."""
+    reader = READERS.get(fmt)
+    if reader is None:
         raise ValueError(f"unknown graph format {fmt!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if fmt == "edge_list":
-            return load_edge_list(fh)
-        if fmt == "contacts":
-            return contacts_to_graph(load_contacts(fh))
-        return attendance_to_graph(load_attendance(fh))
+        return reader(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +336,7 @@ def clustering_coefficient(g: Graph, mode: str = "average_local") -> float:
     nodes of degree < 2 contributing 0. mode 'global_transitivity':
     3 * triangles / connected triples. Degenerate graphs return 0.
     """
-    if mode not in ("average_local", "global_transitivity"):
+    if mode not in CLUSTERING_MODES:
         raise ValueError(f"unknown clustering mode {mode!r}")
     n = g.n_nodes
     if n == 0 or g.n_edges == 0:

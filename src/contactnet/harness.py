@@ -19,7 +19,15 @@ import numpy as np
 
 from .community import Partition, SpectralConfig, spectral_cluster
 from .errors import ConfigError, FitError
-from .graph import Graph, clustering_coefficient, degree_stats, density, read_graph
+from .graph import (
+    CLUSTERING_MODES,
+    READERS,
+    Graph,
+    clustering_coefficient,
+    degree_stats,
+    density,
+    read_graph,
+)
 from .metrics import (
     QUADRATURES,
     MeanCurves,
@@ -48,7 +56,7 @@ from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, wri
 TOOL_VERSION = "0.1.0"
 
 MODEL_VARIANTS = tuple(VARIANTS)
-DATASET_FORMATS = ("edge_list", "contacts", "attendance")
+DATASET_FORMATS = tuple(READERS)
 AREA_AVERAGING = ("pooled", "per_network")
 
 # seed branches: actual-graph epidemics, network sampling, sampled-network epidemics
@@ -113,7 +121,7 @@ class MetricsConfig:
     def __post_init__(self):
         if self.quadrature not in QUADRATURES:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.clustering_mode not in ("average_local", "global_transitivity"):
+        if self.clustering_mode not in CLUSTERING_MODES:
             raise ValueError(f"unknown clustering mode {self.clustering_mode!r}")
         if self.area_averaging not in AREA_AVERAGING:
             raise ValueError(f"unknown area averaging {self.area_averaging!r}")

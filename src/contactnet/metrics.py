@@ -200,7 +200,8 @@ def read_curves_csv(lines) -> MeanCurves:
     reader = csv.DictReader(it)
     s, i, r = [], [], []
     try:
-        if [f.strip() for f in reader.fieldnames or ()] != ["t", "s", "i", "r"]:
+        reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
+        if reader.fieldnames != ["t", "s", "i", "r"]:
             raise ParseError("expected column header t,s,i,r", 2)
         for lineno, row in enumerate(reader, start=3):
             try:

@@ -5,14 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactnet import (
     Graph,
     ParseError,
     UndefinedStatisticError,
-    attendance_to_graph,
     clustering_coefficient,
-    contacts_to_graph,
     degree_stats,
     density,
     load_attendance,
@@ -123,20 +122,61 @@ def test_edge_list_ignores_comments_and_blank_lines():
 
 def test_contacts_loader_deduplicates_repeat_events():
     rows = "time,node_a,node_b\n1,a,b\n1,b,a\n2,a,c\n"
-    events = load_contacts(rows.splitlines())
-    assert len(events) == 3
-    assert events[0].node_a == "a" and events[0].node_b == "b"
-    g = contacts_to_graph(events)
+    g = load_contacts(rows.splitlines())
     assert g.labels == ("a", "b", "c")
-    assert g.n_edges == 2
+    assert g.edges.tolist() == [[0, 1], [0, 2]]
 
 
 def test_attendance_loader_projects_cooccurrence():
     rows = "event_id,person\ne1,a\ne1,b\ne1,c\ne2,b\ne2,d\ne3,z\n"
-    g = attendance_to_graph(load_attendance(rows.splitlines()))
+    g = load_attendance(rows.splitlines())
     assert g.labels == ("a", "b", "c", "d", "z")
     # e1 yields a triangle, e2 one edge, e3 an isolated attendee
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
+
+
+def _first_appearance(labels):
+    order = []
+    for label in labels:
+        if label not in order:
+            order.append(label)
+    return tuple(order)
+
+
+def _label_pairs(g):
+    return {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges}
+
+
+_PEOPLE = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_PEOPLE, _PEOPLE), max_size=12))
+def test_contacts_loader_matches_a_brute_force_reference(contacts):
+    lines = ["time,node_a,node_b"] + [f"{t},{a},{b}" for t, (a, b) in enumerate(contacts)]
+    loops = [t for t, (a, b) in enumerate(contacts) if a == b]
+    if loops:
+        t = loops[0]
+        message = f"^line {t + 2}: contact joins node '{contacts[t][0]}' to itself$"
+        with pytest.raises(ParseError, match=message):
+            load_contacts(lines)
+        return
+    g = load_contacts(lines)
+    assert g.labels == _first_appearance(x for pair in contacts for x in pair)
+    pairs = {frozenset(pair) for pair in contacts}
+    assert _label_pairs(g) == pairs and g.n_edges == len(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["e1", "e2", "e3"]), _PEOPLE), max_size=12))
+def test_attendance_loader_matches_a_brute_force_reference(records):
+    g = load_attendance(["event_id,person"] + [f"{e},{p}" for e, p in records])
+    assert g.labels == _first_appearance(p for _, p in records)
+    cliques = set()
+    for event, _ in records:
+        attendees = {p for e, p in records if e == event}
+        cliques |= {frozenset((a, b)) for a in attendees for b in attendees if a != b}
+    assert _label_pairs(g) == cliques and g.n_edges == len(cliques)
 
 
 def test_csv_loaders_reject_missing_columns():

@@ -672,6 +672,9 @@ _DATA_TOKENS = st.sampled_from(
 @example(fmt="contacts", headed=True, body="1,a\x00,b\n")  # csv rejects NUL on 3.10
 @example(fmt="attendance", headed=False, body=b"event_id,person\n\xe9,p\n")
 @example(fmt="edge_list", headed=False, body=",,\n")
+@example(fmt="contacts", headed=False, body="time, node_a, node_b\n1,a,b\n")
+@example(fmt="attendance", headed=False, body="event_id, person\ne1,a\n")
+@example(fmt="curves", headed=False, body="# population=2 n_runs=1\nt, s, i, r\n0,1.0,0.0,0.0\n")
 def test_cli_reads_any_data_text(fmt, headed, body):
     data = body if isinstance(body, bytes) else body.encode("utf-8")
     if headed:
@@ -685,6 +688,46 @@ def test_cli_reads_any_data_text(fmt, headed, body):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_CURVES_META = "# population=4 n_runs=2\n"
+
+
+@pytest.mark.parametrize("argv, plain, padded, rows", [
+    (["stats", "data", "--format", "contacts"], "time,node_a,node_b",
+     " time ,node_a,\tnode_b ", "1,a,b\n2,c,b\n3,b,a\n"),
+    (["stats", "data", "--format", "attendance"], "event_id,person",
+     "event_id , person", "e1,a\ne1,b\ne1,c\ne2,d\n"),
+    (["evaluate", "data", "reference"], _CURVES_META + "t,s,i,r",
+     _CURVES_META + "t, s, i, r", "0,0.5,0.5,0.0\n1,0.25,0.5,0.25\n"),
+], ids=["contacts", "attendance", "curves"])
+def test_cli_padded_csv_header_reads_like_the_plain_one(tmp_path, capsys, monkeypatch, argv,
+                                                        plain, padded, rows):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reference").write_text(_CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n1,0.75,0.25,0.0\n")
+    outputs = []
+    for header in (plain, padded):
+        (tmp_path / "data").write_text(f"{header}\n{rows}")
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_cli_contacts_self_contact_exits_2_with_its_line(tmp_path):
+    (tmp_path / "data").write_text("time,node_a,node_b\n1,a,b\n2,c,c\n")
+    code, err = _run_cli(["stats", "data", "--format", "contacts"], tmp_path)
+    assert (code, err) == (2, "error: line 3: contact joins node 'c' to itself\n")
+
+
+@pytest.mark.parametrize("rows, n_nodes, n_edges", [
+    ("e1,a\ne1,b\ne1,a\n", 2, 1),  # a listed twice in e1 adds no edge
+    ("e1,a\ne1,b\ne2,c\n", 3, 1),  # c, alone at e2, is an isolated node
+], ids=["repeat-attendee", "lone-attendee"])
+def test_cli_attendance_counts_each_attendee_once(tmp_path, capsys, rows, n_nodes, n_edges):
+    (tmp_path / "data").write_text("event_id,person\n" + rows)
+    assert cli.main(["stats", str(tmp_path / "data"), "--format", "attendance"]) == 0
+    out = capsys.readouterr().out
+    assert f"n_nodes: {n_nodes}\n" in out and f"n_edges: {n_edges}\n" in out
 
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
