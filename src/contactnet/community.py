@@ -139,8 +139,10 @@ def regularized_laplacian(g: Graph, regularization: float) -> np.ndarray:
             "zero regularization with an isolated node makes the degree scaling singular"
         )
     inv_sqrt = 1.0 / np.sqrt(scale)
-    a = g.adjacency_matrix()
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    tails, heads = g.arcs
+    lap = np.zeros((g.n_nodes, g.n_nodes))
+    lap[tails, heads] = inv_sqrt[tails] * inv_sqrt[heads]
+    return lap
 
 
 def symmetric_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +153,7 @@ def symmetric_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
     values, vectors = np.linalg.eigh(m)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
+    return values[::-1], vectors[:, ::-1]
 
 
 def select_k_eigengap(eigenvalues, k_max: int) -> int:
@@ -262,10 +264,10 @@ def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Par
         regularization = 2 * g.n_edges / n  # average degree
     lap = regularized_laplacian(g, regularization)
     values, vectors = symmetric_eigendecomposition(lap)
+    order = np.arange(n)
     if config.eigenvalue_order == "abs":
         order = np.argsort(-np.abs(values), kind="stable")
         values = values[order]
-        vectors = vectors[:, order]
     if config.k_fixed is not None:
         if config.k_fixed > n:
             raise ValueError("k_fixed cannot exceed the node count")
@@ -276,7 +278,8 @@ def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Par
         else:
             k_max = max(1, min(20, n // 4, n - 1))
         k = select_k_eigengap(values, k_max)
-    embedding = vectors[:, :k].copy()
+    # k-means must see a C-contiguous embedding: its partition depends on the layout
+    embedding = np.ascontiguousarray(vectors[:, order[:k]])
     norms = np.sqrt((embedding ** 2).sum(axis=1))
     keep = norms >= ZERO_ROW_TOL
     embedding[keep] /= norms[keep, None]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -100,12 +101,6 @@ class Graph:
         tails.setflags(write=False)
         heads.setflags(write=False)
         return tails, heads
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense float N x N adjacency matrix, built on each call."""
-        a = np.zeros((self._n_nodes, self._n_nodes))
-        a[self.arcs] = 1.0
-        return a
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of node i, a read-only view."""
@@ -207,33 +202,52 @@ def write_edge_list(g: Graph, stream) -> None:
         stream.write(f"{g.labels[i]} {g.labels[j]}\n")
 
 
-def _read_csv_rows(lines: Iterable[str], required: tuple[str, ...]):
+def _read_csv_rows(lines: Iterable[str], required: tuple[str, ...], exact: bool = False,
+                   header_line: int = 1):
+    """Yield (line number, values of the `required` columns in that order) per CSV row.
+
+    The header, on line `header_line`, must name every required column, and
+    with `exact` nothing else, in that order. A repeated header name, a row
+    with more fields than the header and an empty required value are refused
+    with the line number the csv reader is at, so blank lines count.
+    """
     reader = csv.DictReader(lines)
+    offset = header_line - 1
     try:
-        if reader.fieldnames is None:
-            raise ParseError("empty file, expected a CSV header", 1)
-        reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        missing = [c for c in required if c not in reader.fieldnames]
+        header = reader.fieldnames
+        names = [f.strip() for f in header or ()]
+        if exact and names != list(required):
+            raise ParseError(f"expected column header {','.join(required)}", header_line)
+        if header is None:
+            raise ParseError("empty file, expected a CSV header", header_line)
+        repeated = [c for c, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ParseError(f"repeated column name(s): {', '.join(repeated)}", header_line)
+        missing = [c for c in required if c not in names]
         if missing:
-            raise ParseError(f"missing required column(s): {', '.join(missing)}", 1)
+            raise ParseError(f"missing required column(s): {', '.join(missing)}", header_line)
+        reader.fieldnames = names
         for row in reader:
-            values = {}
+            lineno = reader.line_num + offset
+            if None in row:
+                raise ParseError(f"row has {len(names) + len(row[None])} fields, "
+                                 f"header has {len(names)}", lineno)
+            values = []
             for col in required:
-                val = row.get(col)
+                val = row[col]
                 if val is None or not val.strip():
-                    raise ParseError(f"empty value in column {col!r}", reader.line_num)
-                values[col] = val.strip()
-            yield reader.line_num, values
+                    raise ParseError(f"empty value in column {col!r}", lineno)
+                values.append(val.strip())
+            yield lineno, values
     except csv.Error as exc:
-        raise ParseError(str(exc), reader.reader.line_num) from None
+        raise ParseError(str(exc), reader.line_num + offset) from None
 
 
 def load_contacts(lines: Iterable[str]) -> Graph:
     """Graph of a time,node_a,node_b contact CSV: an edge per pair in contact, times collapsed."""
     index: dict[str, int] = {}
     edges = []
-    for lineno, row in _read_csv_rows(lines, ("time", "node_a", "node_b")):
-        a, b = row["node_a"], row["node_b"]
+    for lineno, (_, a, b) in _read_csv_rows(lines, ("time", "node_a", "node_b")):
         if a == b:
             raise ParseError(f"contact joins node {a!r} to itself", lineno)
         edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
@@ -244,9 +258,8 @@ def load_attendance(lines: Iterable[str]) -> Graph:
     """Graph of an event_id,person CSV: the union of cliques of each event's distinct attendees."""
     index: dict[str, int] = {}
     events: dict[str, dict[int, None]] = {}  # attendees in insertion order, repeats once
-    for _, row in _read_csv_rows(lines, ("event_id", "person")):
-        person = index.setdefault(row["person"], len(index))
-        events.setdefault(row["event_id"], {})[person] = None
+    for _, (event, person) in _read_csv_rows(lines, ("event_id", "person")):
+        events.setdefault(event, {})[index.setdefault(person, len(index))] = None
     edges = [pair for attendees in events.values() for pair in combinations(attendees, 2)]
     return Graph(len(index), edges, labels=tuple(index))
 

@@ -219,9 +219,7 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, traject
             out.write(TRAJECTORY_HEADER)
         for r in range(runs):
             traj = simulate_sir(g, params, derived_rng(*seed_path, r))
-            totals[0] += traj.s_counts
-            totals[1] += traj.i_counts
-            totals[2] += traj.r_counts
+            totals += traj
             if out is not None:
                 write_trajectory_rows(out, r, traj)
     return totals

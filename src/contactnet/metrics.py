@@ -6,13 +6,13 @@ over S, I and R with unit time steps.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
+from .graph import _read_csv_rows
 
 CURVE_SUM_TOL = 1e-12
 IDENTITY_TOL = 1e-12
@@ -23,50 +23,42 @@ QUADRATURES = ("trapezoid", "rectangle")
 class MeanCurves:
     """Mean S/I/R fractions over time for one ensemble.
 
-    n_runs is the ensemble size (0 marks analytically exact curves);
-    population is the node count the fractions refer to.
+    fractions has rows S, I and R and one column per time step; n_runs is the
+    ensemble size (0 marks analytically exact curves); population is the node
+    count the fractions refer to.
     """
 
-    s_frac: np.ndarray
-    i_frac: np.ndarray
-    r_frac: np.ndarray
+    fractions: np.ndarray
     n_runs: int
     population: int
 
     def __post_init__(self):
-        arrays = []
-        for name in ("s_frac", "i_frac", "r_frac"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-            arrays.append(arr)
-        lengths = {len(a) for a in arrays}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ValueError("compartment curves must share a positive length")
+        # a copy, so freezing it leaves the caller's array writable
+        frac = np.array(self.fractions, dtype=float, order="C")
+        frac.setflags(write=False)
+        object.__setattr__(self, "fractions", frac)
+        if frac.ndim != 2 or frac.shape[0] != 3 or frac.shape[1] == 0:
+            raise ValueError("fractions must be 3 rows (S, I, R) of a positive length")
         if self.population < 1:
             raise ValueError("population must be positive")
         if self.n_runs < 0:
             raise ValueError("n_runs must be nonnegative")
-        stack = np.stack(arrays)
-        if not np.all(np.isfinite(stack)):
+        if not np.all(np.isfinite(frac)):
             raise ValueError("curve entries must be finite")
-        if stack.min() < -1e-9 or stack.max() > 1 + 1e-9:
+        if frac.min() < -1e-9 or frac.max() > 1 + 1e-9:
             raise ValueError("curve entries must be fractions in [0, 1]")
-        total = stack.sum(axis=0)
-        if np.max(np.abs(total - 1.0)) > CURVE_SUM_TOL:
+        if np.max(np.abs(frac.sum(axis=0) - 1.0)) > CURVE_SUM_TOL:
             raise ValueError("compartment fractions must sum to 1 at every time")
 
     def __len__(self):
-        return len(self.s_frac)
+        return self.fractions.shape[1]
 
 
 def counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
     """Mean curves from S/I/R count sums (rows of `totals`) over `runs` runs."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    denom = runs * population
-    return MeanCurves(totals[0] / denom, totals[1] / denom, totals[2] / denom,
-                      runs, population)
+    return MeanCurves(totals / (runs * population), runs, population)
 
 
 def area_between(a: MeanCurves, b: MeanCurves, quadrature: str = "trapezoid") -> float:
@@ -81,15 +73,11 @@ def area_between(a: MeanCurves, b: MeanCurves, quadrature: str = "trapezoid") ->
         raise ValueError("curves must have the same length")
     if a.population != b.population:
         raise ValueError("curves must refer to the same population")
-    diffs = [
-        np.abs(a.s_frac - b.s_frac),
-        np.abs(a.i_frac - b.i_frac),
-        np.abs(a.r_frac - b.r_frac),
-    ]
-    if max(d.max() for d in diffs) <= IDENTITY_TOL:
+    diffs = np.abs(a.fractions - b.fractions)
+    if diffs.max() <= IDENTITY_TOL:
         return 0.0
     total = 0.0
-    for d in diffs:
+    for d in diffs:  # S, I, R, each summed on its own
         if quadrature == "trapezoid":
             total += float((d[:-1] + d[1:]).sum() / 2.0)
         else:
@@ -173,8 +161,7 @@ def write_curves_csv(curves: MeanCurves, stream) -> None:
     """Dump mean curves as CSV with a provenance comment header."""
     stream.write(f"# population={curves.population} n_runs={curves.n_runs}\n")
     stream.write("t,s,i,r\n")
-    for t in range(len(curves)):
-        s, i, r = float(curves.s_frac[t]), float(curves.i_frac[t]), float(curves.r_frac[t])
+    for t, (s, i, r) in enumerate(curves.fractions.T.tolist()):
         stream.write(f"{t},{s!r},{i!r},{r!r}\n")
 
 
@@ -197,26 +184,18 @@ def read_curves_csv(lines) -> MeanCurves:
         n_runs = int(meta["n_runs"])
     except (KeyError, ValueError):
         raise ParseError("header must carry integer population= and n_runs=", 1) from None
-    reader = csv.DictReader(it)
-    s, i, r = [], [], []
-    try:
-        reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
-        if reader.fieldnames != ["t", "s", "i", "r"]:
-            raise ParseError("expected column header t,s,i,r", 2)
-        for lineno, row in enumerate(reader, start=3):
-            try:
-                if int(row["t"]) != lineno - 3:
-                    raise ParseError("time indices must be consecutive from 0", lineno)
-                s.append(float(row["s"]))
-                i.append(float(row["i"]))
-                r.append(float(row["r"]))
-            except (TypeError, ValueError):
-                raise ParseError("malformed curve row", lineno) from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.reader.line_num + 1) from None
-    if not s:
+    rows = []
+    for lineno, (t, *fractions) in _read_csv_rows(it, ("t", "s", "i", "r"), exact=True,
+                                                  header_line=2):
+        try:
+            if int(t) != len(rows):
+                raise ParseError("time indices must be consecutive from 0", lineno)
+            rows.append([float(x) for x in fractions])
+        except ValueError:
+            raise ParseError("malformed curve row", lineno) from None
+    if not rows:
         raise ParseError("curves file holds no rows", 3)
     try:
-        return MeanCurves(np.array(s), np.array(i), np.array(r), n_runs, population)
+        return MeanCurves(np.transpose(rows), n_runs, population)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

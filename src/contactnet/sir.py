@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +41,12 @@ class SirParams:
             raise ValueError("initial_infectious must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Compartment counts after t transitions, t = 0 .. steps."""
 
     s_counts: np.ndarray
     i_counts: np.ndarray
     r_counts: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s_counts", "i_counts", "r_counts"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not len(self.s_counts) == len(self.i_counts) == len(self.r_counts):
-            raise ValueError("compartment count vectors must share a length")
-
-    def __len__(self):
-        return len(self.s_counts)
-
-    @property
-    def population(self) -> int:
-        return int(self.s_counts[0] + self.i_counts[0] + self.r_counts[0])
 
 
 def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
@@ -107,8 +92,9 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     infectious[init] = True
 
     steps = params.steps
-    s_counts = np.empty(steps + 1, dtype=np.int64)
-    i_counts = np.empty(steps + 1, dtype=np.int64)
+    # rows S, I and R; R follows from S and I once the run ends
+    counts = np.empty((3, steps + 1), dtype=np.int64)
+    s_counts, i_counts, r_counts = counts
     s_now, i_now = n - len(init), len(init)
     s_counts[0], i_counts[0] = s_now, i_now
 
@@ -147,7 +133,8 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
             infectious |= fired[:n]
         s_counts[t + 1] = s_now
         i_counts[t + 1] = i_now
-    return Trajectory(s_counts, i_counts, n - s_counts - i_counts)
+    r_counts[:] = n - s_counts - i_counts
+    return Trajectory(*counts)
 
 
 TRAJECTORY_HEADER = "run,t,S,I,R\n"
@@ -155,7 +142,7 @@ TRAJECTORY_HEADER = "run,t,S,I,R\n"
 
 def write_trajectory_rows(stream, run: int, traj: Trajectory) -> None:
     """Write one run's counts as the run,t,S,I,R rows under TRAJECTORY_HEADER."""
-    counts = zip(traj.s_counts.tolist(), traj.i_counts.tolist(), traj.r_counts.tolist())
+    counts = zip(*(row.tolist() for row in traj))
     stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
 
 
@@ -220,4 +207,4 @@ def exact_sir_expected_curves(g: Graph, params: SirParams, initial_set) -> MeanC
         record(t)
 
     expected /= n
-    return MeanCurves(expected[0], expected[1], expected[2], n_runs=0, population=n)
+    return MeanCurves(expected, n_runs=0, population=n)

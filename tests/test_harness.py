@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -185,7 +186,7 @@ def test_run_experiment_report_and_artifacts(dataset, tmp_path):
     assert all(math.isfinite(row.area) for row in report.rows)
     assert report.wall_clock_seconds is not None
     assert set(report.curves) == {"actual", "er", "degree", "sbm", "dcsbm"}
-    assert all(len(c.s_frac) == 7 for c in report.curves.values())
+    assert all(c.fractions.shape == (3, 7) for c in report.curves.values())
 
     names = sorted(os.listdir(out))
     assert names == ["curves_actual.csv", "curves_dcsbm.csv", "curves_degree.csv",
@@ -351,7 +352,7 @@ def test_cli_sample_and_simulate_round_trip(dataset, tmp_path, capsys):
                      "--steps", "8", "--runs", "30", "--seed", "3",
                      "--curves-out", str(curves_out)]) == 0
     curves = read_curves_csv(curves_out.read_text().splitlines())
-    assert len(curves.s_frac) == 9
+    assert curves.fractions.shape == (3, 9)
     assert curves.n_runs == 30
 
     # a fitted model file can stand in for the graph
@@ -719,6 +720,30 @@ def test_cli_contacts_self_contact_exits_2_with_its_line(tmp_path):
     assert (code, err) == (2, "error: line 3: contact joins node 'c' to itself\n")
 
 
+_VALID_CURVES = _CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["stats", "data", "--format", "contacts"], "time,node_a,node_b,node_a\n1,a,b,c\n",
+     "line 1: repeated column name(s): node_a"),
+    (["stats", "data", "--format", "contacts"], "time,node_a,node_b\n1,a,b,zzz\n",
+     "line 2: row has 4 fields, header has 3"),
+    (["stats", "data", "--format", "attendance"], "event_id,person,person\ne1,a,b\n",
+     "line 1: repeated column name(s): person"),
+    (["evaluate", "data", "reference"], _CURVES_META + "t,s,i,r\n0,0.75,0.25,0,9\n",
+     "line 3: row has 5 fields, header has 4"),
+    (["evaluate", "data", "reference"],
+     _CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n\n\n1,x,0.0,1.0\n",
+     "line 6: malformed curve row"),
+], ids=["contacts-repeated-column", "contacts-long-row", "attendance-repeated-column",
+        "curves-long-row", "curves-after-blank-lines"])
+def test_cli_csv_misreadings_exit_2_with_their_line(tmp_path, argv, text, message):
+    (tmp_path / "reference").write_text(_VALID_CURVES)
+    (tmp_path / "data").write_text(text)
+    code, err = _run_cli(argv, tmp_path)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("rows, n_nodes, n_edges", [
     ("e1,a\ne1,b\ne1,a\n", 2, 1),  # a listed twice in e1 adds no edge
     ("e1,a\ne1,b\ne2,c\n", 3, 1),  # c, alone at e2, is an isolated node
@@ -780,3 +805,33 @@ def test_cli_rejects_a_huge_declared_node_count_at_the_header(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "line 1" in proc.stderr
+
+
+PERFBENCH_DIR = os.path.join(os.path.dirname(SRC_DIR), "perfbench")
+
+
+def test_benchmark_trace_hooks_see_every_layer(dataset, tmp_path):
+    # the benchmark's per-layer metrics come from wrapping module-level names of
+    # harness and community; a call that bypasses one leaves its layer unmeasured
+    spec = importlib.util.spec_from_file_location(
+        "traced", os.path.join(PERFBENCH_DIR, "traced.py"))
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    cfg = {
+        "dataset": {"path": dataset},
+        "sir": {"infection_probability": 0.3, "recovery_probability": 0.2, "steps": 5},
+        "ensemble": {"actual_runs": 3, "sampled_networks": 2, "runs_per_network": 2},
+        "output_dir": "res",
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH_DIR, "traced.py"),
+                           "cfg.json", "spans.json"], cwd=tmp_path, env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "spans.json").read_text())
+    assert trace["unwrapped"] == []
+    missing = {name for _, _, name in traced.WRAPPED} - {name for name, *_ in trace["spans"]}
+    assert not missing
+    # one entry per epidemic: 3 on the actual graph, 2 x 2 for each of the 4 models
+    assert len(trace["results"].get("sir.simulate", {}).get("run_steps", ())) == 3 + 4 * 2 * 2

@@ -21,14 +21,12 @@ from contactnet import (
 
 
 def curves(s, i, r, n_runs=1, population=10):
-    return MeanCurves(np.asarray(s, float), np.asarray(i, float),
-                      np.asarray(r, float), n_runs, population)
+    return MeanCurves(np.array([s, i, r], float), n_runs, population)
 
 
 def random_curves(rng, length, population=10):
     fractions = rng.dirichlet(np.ones(3), size=length)
-    return curves(fractions[:, 0], fractions[:, 1], fractions[:, 2],
-                  population=population)
+    return MeanCurves(fractions.T, 1, population)
 
 
 def test_curves_validation():
@@ -42,16 +40,19 @@ def test_curves_validation():
         curves([1.0, math.nan], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         curves([1.0, math.inf], [0.0, -math.inf], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        MeanCurves(np.array([[0.5, 0.5], [0.5, 0.5]]), 1, 10)  # no R row
+    raw = np.array([[1.0], [0.0], [0.0]])
+    assert MeanCurves(raw, 1, 10).fractions is not raw and raw.flags.writeable
 
 
 def test_counts_to_curves_worked_example():
     # two runs on 4 nodes: S counts (3, 1) and (3, 3), I counts (1, 3) and (1, 1)
     mc = counts_to_curves(np.array([[6, 4], [2, 4], [0, 0]]), 2, 4)
-    assert mc.s_frac.tolist() == [0.75, 0.5]
-    assert mc.i_frac.tolist() == [0.25, 0.5]
-    assert mc.r_frac.tolist() == [0.0, 0.0]
+    assert mc.fractions.tolist() == [[0.75, 0.5], [0.25, 0.5], [0.0, 0.0]]
     assert mc.n_runs == 2
     assert mc.population == 4
+    assert mc.fractions.flags.c_contiguous and not mc.fractions.flags.writeable
     # zero runs is an error, not a division by zero
     with pytest.raises(ValueError):
         counts_to_curves(np.array([[4], [0], [0]]), 0, 4)
@@ -148,9 +149,8 @@ def test_curves_csv_round_trip_is_bit_exact():
     text = buf.getvalue()
     assert text.startswith("# population=9 n_runs=17\nt,s,i,r\n")
     back = read_curves_csv(text.splitlines())
-    assert np.array_equal(back.s_frac, mc.s_frac)
-    assert np.array_equal(back.i_frac, mc.i_frac)
-    assert np.array_equal(back.r_frac, mc.r_frac)
+    assert np.array_equal(back.fractions, mc.fractions)
+    assert back.fractions.flags.c_contiguous and not back.fractions.flags.writeable
     assert back.population == 9 and back.n_runs == 17
 
 

@@ -39,7 +39,7 @@ def test_parameter_validation():
         SirParams(steps=-1)
     with pytest.raises(ValueError):
         SirParams(initial_infectious=-1)
-    assert len(simulate_sir(K2, SirParams(steps=0), np.random.default_rng(0))) == 1
+    assert simulate_sir(K2, SirParams(steps=0), np.random.default_rng(0)).s_counts.shape == (1,)
     with pytest.raises(ValueError):
         simulate_sir(K2, SirParams(initial_infectious=5), np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -73,8 +73,8 @@ def test_recovery_without_spread():
 
 def test_trajectory_length_and_population():
     t = simulate_sir(P4, SirParams(steps=7), np.random.default_rng(2))
-    assert len(t) == 8
-    assert t.population == 4
+    assert len(t) == 3 and all(row.shape == (8,) for row in t)
+    assert t.s_counts[0] + t.i_counts[0] + t.r_counts[0] == 4
 
 
 def test_conservation_and_monotonicity_hold_on_random_runs():
@@ -144,6 +144,13 @@ def test_trajectory_csv_text():
     )
 
 
+def dense_adjacency(g):
+    """The N x N 0/1 adjacency matrix of g, built from its arcs."""
+    a = np.zeros((g.n_nodes, g.n_nodes))
+    a[g.arcs] = 1.0
+    return a
+
+
 def _reference_sir_counts(g, params, rng, initial_nodes=None):
     """Reference step loop: two rng.random(n) calls per transition and the
     infection pressure recomputed at every step. simulate_sir must match it
@@ -165,7 +172,7 @@ def _reference_sir_counts(g, params, rng, initial_nodes=None):
     s_counts[0] = n - len(init)
     i_counts[0] = len(init)
     r_counts[0] = 0
-    adjacency = g.adjacency_matrix()
+    adjacency = dense_adjacency(g)
     survive = 1.0 - params.infection_probability
     gamma = params.recovery_probability
     for t in range(steps):
@@ -219,24 +226,23 @@ def test_simulation_matches_reference_loop():
 def test_exact_solver_isolated_node_decays_geometrically():
     g = Graph(1)
     curves = exact_sir_expected_curves(g, SirParams(0.9, 0.5, steps=2), [0])
-    assert curves.i_frac.tolist() == pytest.approx([1.0, 0.5, 0.25])
-    assert curves.r_frac.tolist() == pytest.approx([0.0, 0.5, 0.75])
-    assert curves.s_frac.tolist() == [0.0, 0.0, 0.0]
+    s_frac, i_frac, r_frac = curves.fractions
+    assert i_frac.tolist() == pytest.approx([1.0, 0.5, 0.25])
+    assert r_frac.tolist() == pytest.approx([0.0, 0.5, 0.75])
+    assert s_frac.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_exact_solver_triangle_one_step():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     curves = exact_sir_expected_curves(g, SirParams(0.5, 0.5, steps=1), [0])
-    assert curves.s_frac[1] == pytest.approx(1 / 3)
-    assert curves.i_frac[1] == pytest.approx(1 / 2)
-    assert curves.r_frac[1] == pytest.approx(1 / 6)
+    assert curves.fractions[:, 1].tolist() == pytest.approx([1 / 3, 1 / 2, 1 / 6])
 
 
 def test_exact_solver_is_constant_without_dynamics():
     g = Graph(4, [(0, 1), (2, 3)])
     curves = exact_sir_expected_curves(g, SirParams(0.0, 0.0, steps=3), [0])
-    assert np.allclose(curves.i_frac, 0.25)
-    assert np.allclose(curves.s_frac, 0.75)
+    assert np.allclose(curves.fractions[1], 0.25)
+    assert np.allclose(curves.fractions[0], 0.75)
 
 
 def test_exact_solver_refuses_large_systems():
@@ -254,8 +260,5 @@ def test_simulation_means_approach_exact_solution():
     exact = exact_sir_expected_curves(g, params, [0])
     runs = [simulate_sir(g, params, derived_rng(7, r), initial_nodes=[0])
             for r in range(20000)]
-    totals = np.sum([[t.s_counts, t.i_counts, t.r_counts] for t in runs], axis=0)
-    mean = counts_to_curves(totals, len(runs), g.n_nodes)
-    assert np.allclose(mean.s_frac, exact.s_frac, atol=0.02)
-    assert np.allclose(mean.i_frac, exact.i_frac, atol=0.02)
-    assert np.allclose(mean.r_frac, exact.r_frac, atol=0.02)
+    mean = counts_to_curves(np.sum(runs, axis=0), len(runs), g.n_nodes)
+    assert np.allclose(mean.fractions, exact.fractions, atol=0.02)
