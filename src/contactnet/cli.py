@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -41,6 +40,7 @@ from .models import (
     sample_graph,
     save_model,
 )
+from .schema import write_json
 from .seeding import derived_rng, derived_seed
 from .sir import SirParams
 
@@ -100,14 +100,13 @@ def cmd_fit(args) -> int:
     if args.partition_out:
         if spec.variant not in ("sbm", "dcsbm"):
             raise ConfigError("--partition-out applies only to sbm and dcsbm fits")
-        partition = Partition.from_assignments(g, model.assignments)
+        partition = Partition(model.assignments, model.k)
         with open(args.partition_out, "w", encoding="utf-8") as fh:
             write_partition_csv(partition, g.labels, fh)
     if args.output:
         save_model(model, args.output)
     else:
-        json.dump(model_to_dict(model), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        write_json(model_to_dict(model), sys.stdout)
     return 0
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -16,76 +15,69 @@ ZERO_ROW_TOL = 1e-12
 EIGENVALUE_ORDERS = ("abs", "value")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Community assignment of N nodes into k groups plus block count matrices.
+def check_assignments(assign: np.ndarray, k: int, n: int) -> None:
+    """Refuse `assign` unless it is a non-empty vector of n community labels in
+    0..k-1 that uses every label."""
+    if assign.shape != (n,) or n == 0:
+        raise ValueError("assignments must be a non-empty vector of one label per node")
+    if k < 1 or assign.min() < 0 or assign.max() >= k:
+        raise ValueError("community index out of range")
+    if len(np.unique(assign)) != k:
+        raise ValueError("every community must be non-empty")
 
-    block_edge_counts[a, b] is the number of observed edges between groups a
-    and b (within-group on the diagonal); block_pair_counts[a, b] is the
-    number of possible pairs, C(n_a, 2) on the diagonal and n_a * n_b off it.
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Community assignment of N nodes into k groups: what clustering decides.
+
+    A partition is its assignment vector and nothing about any graph. The
+    block edge and pair counts belong to the graph a model is fitted to, so
+    `block_counts(g, partition)` counts them on that graph.
     """
 
     assignments: np.ndarray
     k: int
-    block_edge_counts: np.ndarray
-    block_pair_counts: np.ndarray
 
     def __post_init__(self):
         assign = np.asarray(self.assignments, dtype=np.int64)
+        check_assignments(assign, self.k, assign.size)
         assign.setflags(write=False)
         object.__setattr__(self, "assignments", assign)
-        if self.k < 1:
-            raise ValueError("partition needs at least one community")
-        if assign.ndim != 1 or len(assign) == 0:
-            raise ValueError("assignments must be a non-empty vector")
-        if assign.min() < 0 or assign.max() >= self.k:
-            raise ValueError("community index out of range")
-        sizes = np.bincount(assign, minlength=self.k)
-        if np.any(sizes == 0):
-            empty = int(np.flatnonzero(sizes == 0)[0])
-            raise ValueError(f"community {empty} is empty")
-        for name in ("block_edge_counts", "block_pair_counts"):
-            mat = np.asarray(getattr(self, name), dtype=np.int64)
-            if mat.shape != (self.k, self.k):
-                raise ValueError(f"{name} must be {self.k}x{self.k}")
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        if np.any(self.block_edge_counts > self.block_pair_counts):
-            raise ValueError("block edge count exceeds available pairs")
 
     @classmethod
     def from_assignments(cls, g: Graph, assignments) -> "Partition":
-        """Count block edges and pairs of `assignments` against graph g."""
+        """The partition of graph g's nodes by `assignments`, k inferred from its labels."""
         assign = np.asarray(assignments, dtype=np.int64)
         if assign.shape != (g.n_nodes,):
             raise ValueError("assignment vector length must equal the node count")
         if g.n_nodes == 0:
             raise ValueError("cannot partition an empty graph")
-        k = int(assign.max()) + 1
-        sizes = np.bincount(assign, minlength=k)
-        edge_counts = np.zeros((k, k), dtype=np.int64)
-        if g.n_edges:
-            ca = assign[g.edges[:, 0]]
-            cb = assign[g.edges[:, 1]]
-            np.add.at(edge_counts, (ca, cb), 1)
-            edge_counts = edge_counts + edge_counts.T - np.diag(np.diag(edge_counts))
-        pair_counts = np.outer(sizes, sizes)
-        np.fill_diagonal(pair_counts, sizes * (sizes - 1) // 2)
-        return cls(assign, k, edge_counts, pair_counts)
-
-    @cached_property
-    def community_sizes(self) -> np.ndarray:
-        sizes = np.bincount(self.assignments, minlength=self.k)
-        sizes.setflags(write=False)
-        return sizes
+        return cls(assign, int(assign.max()) + 1)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
         return self.k == other.k and np.array_equal(self.assignments, other.assignments)
 
-    def __hash__(self):
-        return hash((self.k, self.assignments.tobytes()))
+
+def block_counts(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Observed edges and possible pairs of g between the blocks of `partition`.
+
+    Returns two symmetric k x k int64 matrices: edges[a, b] counts g's edges
+    between communities a and b (within a on the diagonal); pairs[a, b] is
+    n_a * n_b off the diagonal and C(n_a, 2) on it.
+    """
+    assign = partition.assignments
+    if len(assign) != g.n_nodes:
+        raise ValueError("partition length must equal the node count")
+    k = partition.k
+    edges = np.zeros((k, k), dtype=np.int64)
+    np.add.at(edges, (assign[g.edges[:, 0]], assign[g.edges[:, 1]]), 1)
+    edges = edges + edges.T - np.diag(np.diag(edges))
+    sizes = np.bincount(assign, minlength=k)
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return edges, pairs
 
 
 def write_partition_csv(partition: Partition, labels, stream) -> None:

@@ -49,7 +49,7 @@ from .models import (
     log_likelihood_per_pair,
     sample_graph,
 )
-from .schema import from_json, to_json
+from .schema import from_json, to_json, write_json
 from .seeding import derived_rng
 from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, write_trajectory_rows
 
@@ -150,6 +150,9 @@ class ExperimentConfig:
         names = [spec.name for spec in self.models]
         if len(set(names)) != len(names):
             raise ValueError("model names collide; set distinct 'name' fields")
+        if self.save_trajectories and "actual.csv" in names:
+            raise ValueError("model name 'actual.csv' collides with the actual-graph "
+                             "trajectory file; rename the model")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
 
@@ -375,8 +378,7 @@ def write_artifacts(report: ResultsReport, config: ExperimentConfig) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        write_json(report.to_json_dict(), fh)
     with open(out / "quality_table.txt", "w", encoding="utf-8") as fh:
         fh.write(render_quality_table(report.rows))
     for name, curves in report.curves.items():

@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .community import Partition
+from .community import Partition, block_counts, check_assignments
 from .errors import ConfigError, FitError, NumericError, ParseError
 from .graph import Graph
-from .schema import from_json, to_json
+from .schema import from_json, to_json, write_json
 
 DEGREE_SUM_TOL = 1e-9
 DEGREE_MODES = ("exact_sum", "chung_lu")
@@ -102,15 +102,6 @@ def _validate_common(model) -> None:
         raise ValueError("node labels must be unique")
 
 
-def _validate_assignments(assign: np.ndarray, k: int, n: int) -> None:
-    if assign.shape != (n,):
-        raise ValueError("assignment vector length must equal n_nodes")
-    if k < 1 or assign.min() < 0 or assign.max() >= k:
-        raise ValueError("community index out of range")
-    if len(np.unique(assign)) != k:
-        raise ValueError("every community must be non-empty")
-
-
 @dataclass(frozen=True, eq=False)
 class ErModel(EdgeProbabilityModel):
     n_nodes: int
@@ -179,7 +170,7 @@ class SbmModel(EdgeProbabilityModel):
         _validate_common(self)
         _freeze_array(self, "assignments", integer=True)
         _freeze_array(self, "block_probs")
-        _validate_assignments(self.assignments, self.k, self.n_nodes)
+        check_assignments(self.assignments, self.k, self.n_nodes)
         bp = self.block_probs
         if bp.shape != (self.k, self.k):
             raise ValueError("block_probs must be k x k")
@@ -218,7 +209,7 @@ class DcsbmModel(EdgeProbabilityModel):
         _freeze_array(self, "assignments", integer=True)
         _freeze_array(self, "degree_share")
         _freeze_array(self, "block_rates")
-        _validate_assignments(self.assignments, self.k, self.n_nodes)
+        check_assignments(self.assignments, self.k, self.n_nodes)
         if self.degree_share.shape != (self.n_nodes,) or self.degree_share.min() < 0:
             raise ValueError("degree_share must be a nonnegative vector of length n_nodes")
         sums = np.bincount(self.assignments, weights=self.degree_share, minlength=self.k)
@@ -292,25 +283,27 @@ def fit_degree(g: Graph, mode: str = "exact_sum") -> DegreeModel:
 
 
 def fit_sbm(g: Graph, partition: Partition) -> SbmModel:
-    """Per-block edge probability: observed block edges over possible block pairs."""
-    if len(partition.assignments) != g.n_nodes:
-        raise ValueError("partition length must equal the node count")
-    edges = partition.block_edge_counts.astype(float)
-    pairs = partition.block_pair_counts.astype(float)
-    probs = np.divide(edges, pairs, out=np.zeros_like(edges), where=pairs > 0)
+    """Per-block edge probability: g's edges between two blocks over the pairs there.
+
+    The blocks are counted on g itself (`block_counts`), so the partition is
+    only an assignment vector and may come from any graph of g's size.
+    """
+    edges, pairs = block_counts(g, partition)
+    probs = np.divide(edges.astype(float), pairs.astype(float),
+                      out=np.zeros(edges.shape), where=pairs > 0)
     return SbmModel(g.n_nodes, g.labels, partition.assignments, partition.k, probs)
 
 
 def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel:
     """Degree-corrected block model.
 
-    Each node gets its share of its community's total degree. Block rates are
-    the observed block edge counts; in 'exact' mode (default) the diagonal is
+    Each node gets its share of its community's total degree in g. Block
+    rates are g's block edge counts (`block_counts`, so the partition is only
+    an assignment vector); in 'exact' mode (default) the diagonal is
     renormalized so expected within-block edge counts match the observed ones
     (the raw plug-in understates them).
     """
-    if len(partition.assignments) != g.n_nodes:
-        raise ValueError("partition length must equal the node count")
+    rates = block_counts(g, partition)[0].astype(float)
     assign = partition.assignments
     deg = g.degrees.astype(float)
     totals = np.bincount(assign, weights=deg, minlength=partition.k)
@@ -318,7 +311,6 @@ def fit_dcsbm(g: Graph, partition: Partition, mode: str = "exact") -> DcsbmModel
         dead = int(np.flatnonzero(totals == 0)[0])
         raise FitError(f"community {dead} has total degree 0, degree shares are undefined")
     share = deg / totals[assign]
-    rates = partition.block_edge_counts.astype(float)
     if mode == "exact":
         for a in range(partition.k):
             members = share[assign == a]
@@ -393,8 +385,7 @@ def model_from_dict(data) -> EdgeProbabilityModel:
 
 def save_model(model: EdgeProbabilityModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        write_json(model_to_dict(model), fh)
 
 
 def load_model(path: str) -> EdgeProbabilityModel:

@@ -8,6 +8,7 @@ dataclass itself checks. Every error is a ConfigError naming the key path.
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -56,6 +57,12 @@ def from_json(hint, value, context: str):
     if not check(value):
         raise ConfigError(f"{context} must be {expected}, got {value!r}")
     return value
+
+
+def write_json(doc, stream) -> None:
+    """Write the JSON document `doc` to `stream`: two-space indent, then a newline."""
+    json.dump(doc, stream, indent=2)
+    stream.write("\n")
 
 
 def to_json(value):

@@ -1,5 +1,6 @@
 """Spectral clustering pipeline and its numerical building blocks."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -10,6 +11,7 @@ from contactnet import (
     NumericError,
     Partition,
     SpectralConfig,
+    block_counts,
     spectral_cluster,
     write_partition_csv,
 )
@@ -33,10 +35,27 @@ def test_partition_counts_worked_example():
     g = Graph(4, [(0, 1), (0, 2), (2, 3)])
     part = Partition.from_assignments(g, np.array([0, 0, 1, 1]))
     assert part.k == 2
-    assert part.community_sizes.tolist() == [2, 2]
-    # count matrices are stored symmetric
-    assert part.block_edge_counts.tolist() == [[1, 1], [1, 1]]
-    assert part.block_pair_counts.tolist() == [[1, 4], [4, 1]]
+    edges, pairs = block_counts(g, part)
+    # count matrices are returned symmetric
+    assert edges.tolist() == [[1, 1], [1, 1]]
+    assert pairs.tolist() == [[1, 4], [4, 1]]
+    assert edges.dtype == pairs.dtype == np.int64
+    # the counts come from the graph passed in, not the one the partition was built on
+    cross = Graph(4, [(0, 2), (1, 3), (0, 3)])
+    assert block_counts(cross, part)[0].tolist() == [[0, 3], [3, 0]]
+    with pytest.raises(ValueError):
+        block_counts(Graph(5, [(0, 1)]), part)
+
+
+def test_partition_is_its_assignment_vector():
+    assert [f.name for f in dataclasses.fields(Partition)] == ["assignments", "k"]
+    part = Partition([1, 0, 1], 2)
+    assert part.assignments.tolist() == [1, 0, 1]
+    assert not part.assignments.flags.writeable
+    assert part == Partition.from_assignments(Graph(3), [1, 0, 1])
+    for assign, k in [([], 1), ([[0, 1]], 2), ([0, 1], 0), ([0, 2], 2), ([0, 0], 2)]:
+        with pytest.raises(ValueError):
+            Partition(assign, k)
 
 
 def test_partition_validates_assignments():

@@ -452,6 +452,7 @@ def test_cli_sample_unwritable_label_creates_nothing(tmp_path, capsys):
     {"models": [{"variant": "er", "name": "../x"}]},
     {"models": [{"variant": "er", "name": "a/b"}]},
     {"models": [{"variant": "er", "name": "actual"}], "save_trajectories": True},
+    {"models": [{"variant": "er", "name": "actual.csv"}], "save_trajectories": True},
     {"output_dir": 5},
     {"output_dir": None},
     {"metrics": []},

@@ -166,6 +166,26 @@ def test_fit_dcsbm_plugin_mode_uses_raw_block_counts():
     assert model.probability_matrix()[0, 1] == pytest.approx(2 / 9)
 
 
+def test_block_fits_count_blocks_on_the_graph_they_fit():
+    # a partition carries no counts: built on one graph, it fits another of the same size
+    assign = np.array([0, 0, 1, 1])
+    within = Graph(4, [(0, 1), (2, 3)])
+    across = Graph(4, [(0, 2), (1, 3), (0, 3)])
+    foreign = Partition.from_assignments(within, assign)
+    own = Partition.from_assignments(across, assign)
+    sbm = fit_sbm(across, foreign)
+    assert model_to_dict(sbm) == model_to_dict(fit_sbm(across, own))
+    assert sbm.block_probs.tolist() == [[0.0, 0.75], [0.75, 0.0]]
+    assert math.isfinite(log_likelihood_per_pair(sbm, across))
+    for mode in ("exact", "plugin"):
+        assert model_to_dict(fit_dcsbm(across, foreign, mode)) == \
+            model_to_dict(fit_dcsbm(across, own, mode))
+    with pytest.raises(ValueError):
+        fit_sbm(Graph(5, [(0, 1)]), foreign)
+    with pytest.raises(ValueError):
+        fit_dcsbm(Graph(5, [(0, 1)]), foreign)
+
+
 def test_fit_dcsbm_rejects_zero_degree_blocks():
     # a block with no edge endpoints has undefined degree shares
     g = Graph(4, [(0, 1)])
