@@ -39,7 +39,8 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        assign = np.asarray(self.assignments, dtype=np.int64)
+        # a copy, so freezing it leaves the caller's array writable
+        assign = np.array(self.assignments, dtype=np.int64)
         check_assignments(assign, self.k, assign.size)
         assign.setflags(write=False)
         object.__setattr__(self, "assignments", assign)

@@ -28,16 +28,11 @@ DCSBM_MODES = ("exact", "plugin")
 
 
 class EdgeProbabilityModel:
-    """Behavior shared by all variants; subclasses define _matrix."""
+    """Behavior shared by all variants. Each states its formula in `_rows()`, which
+    returns row(i): the raw values of the pairs (i, j) for j > i, in ascending j.
+    The rows fill one cached vector of the pairs i < j, which samples and likelihoods read."""
 
     variant = ""
-
-    def probability_matrix(self) -> np.ndarray:
-        """Full N x N symmetric probability matrix with a zero diagonal, built on request."""
-        m = self._matrix()
-        np.fill_diagonal(m, 0.0)
-        np.minimum(m, 1.0, out=m)
-        return m
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities of the pairs i < j in lexicographic order (read-only, cached)."""
@@ -50,7 +45,7 @@ class EdgeProbabilityModel:
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, bool]:
-        p = self._matrix()[_upper_pairs(self.n_nodes)]
+        p = _pair_vector(self.n_nodes, self._rows())
         capped = bool(np.any(p > 1.0))
         np.minimum(p, 1.0, out=p)
         p.setflags(write=False)
@@ -59,20 +54,23 @@ class EdgeProbabilityModel:
     def parameter_count(self) -> int:
         raise NotImplementedError
 
-    def _matrix(self) -> np.ndarray:
+    def _rows(self):
         raise NotImplementedError
-
-
-def _upper_pairs(n: int) -> np.ndarray:
-    """N x N boolean mask of the pairs i < j; indexing with it yields them in lexicographic order."""
-    i = np.arange(n)
-    return i[:, None] < i
 
 
 def _pair_starts(n: int) -> np.ndarray:
     """Position of pair (i, i + 1) in the lexicographic list of pairs i < j, for each i."""
     i = np.arange(n)
     return i * (2 * n - i - 1) // 2
+
+
+def _pair_vector(n: int, row) -> np.ndarray:
+    """The lexicographic vector of the pairs i < j, filled row by row from row(i)."""
+    starts = _pair_starts(n)
+    out = np.empty(starts[-1])  # row n - 1 is empty, so it starts at C(n, 2)
+    for i in range(n - 1):
+        out[starts[i]:starts[i + 1]] = row(i)
+    return out
 
 
 def _freeze_array(model, name: str, integer: bool = False) -> None:
@@ -119,8 +117,8 @@ class ErModel(EdgeProbabilityModel):
     def parameter_count(self) -> int:
         return 1
 
-    def _matrix(self):
-        return np.full((self.n_nodes, self.n_nodes), self.p)
+    def _rows(self):
+        return lambda i: np.full(self.n_nodes - i - 1, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +147,9 @@ class DegreeModel(EdgeProbabilityModel):
     def parameter_count(self) -> int:
         return self.n_nodes
 
-    def _matrix(self):
+    def _rows(self):
         d = self.degrees.astype(float)
-        return self.scale * np.outer(d, d)
+        return lambda i: self.scale * (d[i] * d[i + 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +178,9 @@ class SbmModel(EdgeProbabilityModel):
     def parameter_count(self) -> int:
         return self.n_nodes + self.k * (self.k + 1) // 2
 
-    def _matrix(self):
-        return self.block_probs[self.assignments][:, self.assignments].copy()
+    def _rows(self):
+        a = self.assignments
+        return lambda i: self.block_probs[a[i], a[i + 1:]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +223,9 @@ class DcsbmModel(EdgeProbabilityModel):
     def parameter_count(self) -> int:
         return 2 * self.n_nodes + self.k * (self.k + 1) // 2
 
-    def _matrix(self):
-        rates = self.block_rates[self.assignments][:, self.assignments]
-        return np.outer(self.degree_share, self.degree_share) * rates
+    def _rows(self):
+        a, s = self.assignments, self.degree_share
+        return lambda i: (s[i] * s[i + 1:]) * self.block_rates[a[i], a[i + 1:]]
 
 
 VARIANTS = {cls.variant: cls for cls in (ErModel, DegreeModel, SbmModel, DcsbmModel)}
@@ -245,7 +244,7 @@ def fit_er(g: Graph) -> ErModel:
 def _capped_sum_scale(degrees: np.ndarray, target: int) -> float:
     """Scale s with sum over pairs of min(1, s*d_i*d_j) = target, by bisection."""
     d = degrees[degrees > 0].astype(float)
-    products = np.outer(d, d)[_upper_pairs(len(d))]
+    products = _pair_vector(len(d), lambda i: d[i] * d[i + 1:])
     uncapped = target / products.sum()
     if uncapped * products.max() <= 1.0:
         return uncapped

@@ -58,6 +58,14 @@ def test_partition_is_its_assignment_vector():
             Partition(assign, k)
 
 
+def test_partition_leaves_the_callers_vector_writable():
+    a = np.array([0, 1, 0])
+    part = Partition.from_assignments(Graph(3), a)
+    assert not part.assignments.flags.writeable
+    a[0] = 1
+    assert part.assignments.tolist() == [0, 1, 0]
+
+
 def test_partition_validates_assignments():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):

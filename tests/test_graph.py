@@ -22,13 +22,7 @@ from contactnet import (
 )
 import contactnet.graph as graph_module
 from contactnet.graph import MAX_NODES, _triangles_per_node
-
-
-def dense_adjacency(g):
-    """The N x N 0/1 adjacency matrix of g, built from its arcs."""
-    a = np.zeros((g.n_nodes, g.n_nodes))
-    a[g.arcs] = 1.0
-    return a
+from dense import dense_adjacency
 
 
 def test_edges_are_canonicalized():

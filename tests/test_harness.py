@@ -418,6 +418,20 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 2.18 TiB for an array", "error: Unable to allocate 2.18 TiB for an array\n"),
+    ("", "error: out of memory\n"),
+])
+def test_cli_unmet_allocation_is_one_error_line(dataset, capsys, monkeypatch, message, err):
+    # the callee only raises: a real huge allocation may succeed under overcommit
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", refuse)
+    assert cli.main(["simulate", dataset, "--runs", "1"]) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("bad_args", [["--initial-infectious", "13"], ["--runs", "0"]])
 def test_cli_simulate_failure_writes_no_trajectories(dataset, tmp_path, capsys, bad_args):
     traj = tmp_path / "t.csv"

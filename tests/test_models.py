@@ -1,6 +1,7 @@
 """Edge-probability models: fitting, likelihood, sampling, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from contactnet import (
     save_model,
 )
 from contactnet.models import DEGREE_SUM_TOL, model_from_dict, model_to_dict
+from dense import probability_matrix
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -36,11 +38,11 @@ DC_PART = Partition.from_assignments(DC_GRAPH, np.array([0, 0, 1, 1]))
 
 
 def expected_edge_sum(model):
-    return model.probability_matrix().sum() / 2.0
+    return probability_matrix(model).sum() / 2.0
 
 
 def expected_block_sums(model, assignments, k):
-    p = model.probability_matrix()
+    p = probability_matrix(model)
     sums = np.zeros((k, k))
     n = len(assignments)
     for i in range(n):
@@ -63,7 +65,7 @@ def test_fit_degree_exact_sum_on_a_star():
     assert model.mode == "exact_sum"
     assert not model.capped
     assert model.scale == pytest.approx(0.25)
-    p = model.probability_matrix()
+    p = probability_matrix(model)
     assert p[0, 1] == pytest.approx(0.75)
     assert p[1, 2] == pytest.approx(0.25)
     assert abs(expected_edge_sum(model) - 3.0) <= DEGREE_SUM_TOL
@@ -72,7 +74,7 @@ def test_fit_degree_exact_sum_on_a_star():
 def test_fit_degree_chung_lu_on_a_star():
     model = fit_degree(STAR4, mode="chung_lu")
     assert model.scale == pytest.approx(1 / 6)
-    p = model.probability_matrix()
+    p = probability_matrix(model)
     assert p[0, 1] == pytest.approx(0.5)
     assert p[1, 2] == pytest.approx(1 / 6)
 
@@ -86,7 +88,8 @@ def test_fit_degree_exact_sum_handles_capping():
     model = fit_degree(g)
     assert model.capped
     assert model.scale == pytest.approx(2 / 21, abs=1e-9)
-    assert model.probability_matrix()[0, 1] == 1.0
+    assert model.scale.hex() == "0x1.8618618600000p-4"
+    assert probability_matrix(model)[0, 1] == 1.0
     assert abs(expected_edge_sum(model) - 7.0) <= DEGREE_SUM_TOL
 
 
@@ -94,7 +97,7 @@ def test_degree_model_on_regular_graph_matches_er():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     er = fit_er(c5)
     deg = fit_degree(c5)
-    assert np.allclose(deg.probability_matrix(), er.probability_matrix())
+    assert np.allclose(probability_matrix(deg), probability_matrix(er))
     assert log_likelihood_per_pair(deg, c5) == pytest.approx(
         log_likelihood_per_pair(er, c5))
 
@@ -107,7 +110,7 @@ def test_chung_lu_per_node_sums_follow_closed_form():
     if model.capped:
         pytest.skip("sampled a capped instance; closed form needs uncapped")
     two_m = 2 * g.n_edges
-    row_sums = model.probability_matrix().sum(axis=1)
+    row_sums = probability_matrix(model).sum(axis=1)
     d = g.degrees.astype(float)
     assert np.allclose(row_sums, d * (two_m - d) / two_m, atol=1e-12)
 
@@ -127,7 +130,7 @@ def test_fit_sbm_worked_example():
     assert model.block_probs[0, 0] == 1.0
     assert model.block_probs[0, 1] == pytest.approx(0.25)
     assert model.block_probs[1, 1] == 0.0
-    p = model.probability_matrix()
+    p = probability_matrix(model)
     assert p[0, 1] == 1.0
     assert p[0, 3] == pytest.approx(0.25)
     assert p[2, 3] == 0.0
@@ -151,7 +154,7 @@ def test_fit_dcsbm_worked_example_exact_mode():
     assert model.block_rates[0, 0] == pytest.approx(4.5)
     assert model.block_rates[1, 1] == pytest.approx(4.5)
     assert model.block_rates[0, 1] == pytest.approx(1.0)
-    p = model.probability_matrix()
+    p = probability_matrix(model)
     assert p[0, 1] == pytest.approx(1.0)
     assert p[0, 2] == pytest.approx((2 / 3) * (2 / 3) * 1.0)
     sums = expected_block_sums(model, [0, 0, 1, 1], 2)
@@ -163,7 +166,7 @@ def test_fit_dcsbm_plugin_mode_uses_raw_block_counts():
     assert model.mode == "plugin"
     assert model.block_rates.tolist() == [[1.0, 1.0], [0.0, 1.0]] or \
         model.block_rates[0, 0] == 1.0
-    assert model.probability_matrix()[0, 1] == pytest.approx(2 / 9)
+    assert probability_matrix(model)[0, 1] == pytest.approx(2 / 9)
 
 
 def test_block_fits_count_blocks_on_the_graph_they_fit():
@@ -222,11 +225,11 @@ def test_serialization_round_trip_is_bit_exact(builder, tmp_path):
     model = builder()
     again = model_from_dict(model_to_dict(model))
     assert type(again) is type(model)
-    assert np.array_equal(again.probability_matrix(), model.probability_matrix())
+    assert np.array_equal(probability_matrix(again), probability_matrix(model))
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
-    assert np.array_equal(loaded.probability_matrix(), model.probability_matrix())
+    assert np.array_equal(probability_matrix(loaded), probability_matrix(model))
     assert loaded.labels == model.labels
 
 
@@ -260,8 +263,8 @@ def test_model_documents_in_the_old_key_order_still_load():
            "degree_share": [2 / 3, 1 / 3, 2 / 3, 1 / 3],
            "block_rates": [[4.5, 1.0], [1.0, 4.5]]}
     model = model_from_dict(doc)
-    assert np.array_equal(model.probability_matrix(),
-                          fit_dcsbm(DC_GRAPH, DC_PART).probability_matrix())
+    assert np.array_equal(probability_matrix(model),
+                          probability_matrix(fit_dcsbm(DC_GRAPH, DC_PART)))
     assert sample_graph(model, 3).n_nodes == 4
     # an integer stands for a float and is read as one
     zero = model_from_dict({"variant": "er", "n_nodes": 3, "labels": ["a", "b", "c"], "p": 0})
@@ -364,11 +367,44 @@ def test_fit_er_maximizes_likelihood(n, bits, alt_p):
     assert log_likelihood_per_pair(fitted, g) >= log_likelihood_per_pair(rival, g) - 1e-12
 
 
+def test_fits_and_pair_vectors_build_no_square_array():
+    # a random sparse graph on 2000 nodes, 4 communities, an uncapped degree fit
+    n = 2000
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, n, size=(8000, 2))
+    g = Graph(n, ends[ends[:, 0] != ends[:, 1]])
+    part = Partition.from_assignments(g, np.arange(n) % 4)
+    budget = 1.5 * 8 * math.comb(n, 2)
+    for fit in (fit_er, fit_degree, lambda g: fit_sbm(g, part), lambda g: fit_dcsbm(g, part)):
+        tracemalloc.start()
+        try:
+            model = fit(g)
+            model.pair_probabilities()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not model.capped
+        assert peak < budget, (model.variant, peak / (8 * math.comb(n, 2)))
+
+
 # ---------------------------------------------------------------------------
 # the pair vector against reference copies of the N x N code it replaced
 
+def reference_raw_matrix(model):
+    """Each variant's formula over all N x N pairs, as the models computed it before."""
+    if model.variant == "er":
+        return np.full((model.n_nodes, model.n_nodes), model.p)
+    if model.variant == "degree":
+        d = model.degrees.astype(float)
+        return model.scale * np.outer(d, d)
+    a = model.assignments
+    if model.variant == "sbm":
+        return model.block_probs[a][:, a]
+    return np.outer(model.degree_share, model.degree_share) * model.block_rates[a][:, a]
+
+
 def reference_probability_matrix(model):
-    m = model._matrix()
+    m = reference_raw_matrix(model)
     np.fill_diagonal(m, 0.0)
     capped = bool(np.any(m > 1.0))
     np.minimum(m, 1.0, out=m)
@@ -439,7 +475,7 @@ def test_probability_matrix_and_capped_match_the_reference(n):
     capped = []
     for model in models_of_every_kind(n, seed=n):
         matrix, was_capped = reference_probability_matrix(model)
-        assert np.array_equal(model.probability_matrix(), matrix)
+        assert np.array_equal(probability_matrix(model), matrix)
         assert model.capped == was_capped
         capped.append(was_capped)
         assert np.array_equal(model.pair_probabilities(), matrix[np.triu_indices(n, 1)])

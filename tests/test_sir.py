@@ -17,6 +17,7 @@ from contactnet import (
     write_trajectory_rows,
 )
 from contactnet.sir import ORACLE_MAX_NODES, ORACLE_MAX_STEPS, TRAJECTORY_HEADER
+from dense import dense_adjacency
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K2 = Graph(2, [(0, 1)])
@@ -142,13 +143,6 @@ def test_trajectory_csv_text():
     assert buf.getvalue() == (
         "run,t,S,I,R\n0,0,2,1,0\n1,0,2,1,0\n1,1,1,1,1\n1,2,1,0,2\n"
     )
-
-
-def dense_adjacency(g):
-    """The N x N 0/1 adjacency matrix of g, built from its arcs."""
-    a = np.zeros((g.n_nodes, g.n_nodes))
-    a[g.arcs] = 1.0
-    return a
 
 
 def _reference_sir_counts(g, params, rng, initial_nodes=None):
