@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-malformed data, 3 numerical failure.
+A command exits 0, or with the `exit_code` of the error class it fails with.
+A spectral or SIR flag sets the SpectralConfig or SirParams field its `dest`
+names; a flag not given leaves the field's default.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import os
 import sys
 
 from .community import EIGENVALUE_ORDERS, Partition, SpectralConfig, write_partition_csv
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, ContactNetError, DataError
 from .graph import check_edge_list_labels, read_graph, write_edge_list
 from .harness import (
+    BLOCK_VARIANTS,
     DATASET_FORMATS,
     MODEL_VARIANTS,
     TOOL_VERSION,
@@ -67,26 +69,26 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _given(cls, args):
+    """A `cls` from the flags given for its fields; the class supplies the rest."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in vars(args).items() if key in names})
+
+
 def _spec_from_args(args) -> ModelSpec:
-    spectral = SpectralConfig(
-        regularization=args.regularization,
-        k_max=args.k_max,
-        k_fixed=args.k_fixed,
-        kmeans_restarts=args.kmeans_restarts,
-        kmeans_max_iters=args.kmeans_max_iters,
-        seed=args.spectral_seed,
-        eigenvalue_order=args.eigenvalue_order,
-    )
     modes = {}
     if args.mode is not None:
-        if args.model not in ("degree", "dcsbm"):
-            raise ConfigError("--mode applies only to the degree and dcsbm variants")
+        moded = [f.name[:-5] for f in dataclasses.fields(ModelSpec) if f.name.endswith("_mode")]
+        if args.model not in moded:
+            raise ConfigError(f"--mode applies only to the {' and '.join(moded)} variants")
         modes[f"{args.model}_mode"] = args.mode
-    return ModelSpec(variant=args.model, spectral=spectral, **modes)
+    return ModelSpec(variant=args.model, spectral=_given(SpectralConfig, args), **modes)
 
 
 def cmd_fit(args) -> int:
     spec = _spec_from_args(args)
+    if args.partition_out and spec.variant not in BLOCK_VARIANTS:
+        raise ConfigError(f"--partition-out applies only to {' and '.join(BLOCK_VARIANTS)} fits")
     g = read_graph(args.path, args.format)
     model = fit_model(g, spec)
     for key, value in (
@@ -98,8 +100,6 @@ def cmd_fit(args) -> int:
     ):
         print(f"{key}: {_fmt_value(value)}", file=sys.stderr)
     if args.partition_out:
-        if spec.variant not in ("sbm", "dcsbm"):
-            raise ConfigError("--partition-out applies only to sbm and dcsbm fits")
         partition = Partition(model.assignments, model.k)
         with open(args.partition_out, "w", encoding="utf-8") as fh:
             write_partition_csv(partition, g.labels, fh)
@@ -126,12 +126,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = SirParams(
-        infection_probability=args.infection_prob,
-        recovery_probability=args.recovery_prob,
-        steps=args.steps,
-        initial_infectious=args.initial_infectious,
-    )
+    params = _given(SirParams, args)
     from_model = args.from_model or args.path.endswith(".json")
     if from_model:
         model = load_model(args.path)
@@ -158,14 +153,10 @@ def cmd_evaluate(args) -> int:
     actual = load(args.actual)
     candidate = load(args.candidate)
     if len(actual) != len(candidate):
-        raise DataError(
-            f"curve files disagree on length: {len(actual)} vs {len(candidate)}"
-        )
+        raise DataError(f"curve files disagree on length: {len(actual)} vs {len(candidate)}")
     if actual.population != candidate.population:
-        raise DataError(
-            f"curve files disagree on population: "
-            f"{actual.population} vs {candidate.population}"
-        )
+        raise DataError(f"curve files disagree on population: "
+                        f"{actual.population} vs {candidate.population}")
     area = area_between(actual, candidate, quadrature=args.quadrature)
     print(repr(area))
     return 0
@@ -180,6 +171,13 @@ def cmd_experiment(args) -> int:
     print(f"report written to {config.output_dir}", file=sys.stderr)
     print(f"wall clock: {report.wall_clock_seconds:.2f}s", file=sys.stderr)
     return 0
+
+
+def seed(text: str) -> int:
+    """argparse type of --seed: the random streams take nonnegative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def build_parser() -> _Parser:
@@ -198,13 +196,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--model", required=True, choices=MODEL_VARIANTS)
     sp.add_argument("--mode", default=None,
                     help="mode of the degree (exact_sum, chung_lu) or dcsbm (exact, plugin) fit")
-    sp.add_argument("--k-fixed", type=int, default=None)
-    sp.add_argument("--k-max", type=int, default=None)
-    sp.add_argument("--regularization", type=float, default=None)
-    sp.add_argument("--kmeans-restarts", type=int, default=10)
-    sp.add_argument("--kmeans-max-iters", type=int, default=100)
-    sp.add_argument("--spectral-seed", type=int, default=0)
-    sp.add_argument("--eigenvalue-order", choices=EIGENVALUE_ORDERS, default="abs")
+    spectral = sp.add_argument_group("spectral clustering", argument_default=argparse.SUPPRESS)
+    spectral.add_argument("--k-fixed", type=int)
+    spectral.add_argument("--k-max", type=int)
+    spectral.add_argument("--regularization", type=float)
+    spectral.add_argument("--kmeans-restarts", type=int)
+    spectral.add_argument("--kmeans-max-iters", type=int)
+    spectral.add_argument("--spectral-seed", dest="seed", type=int)
+    spectral.add_argument("--eigenvalue-order", choices=EIGENVALUE_ORDERS)
     sp.add_argument("-o", "--output", default=None, help="model JSON path (default: stdout)")
     sp.add_argument("--partition-out", default=None, help="write the fitted partition as CSV")
     sp.set_defaults(func=cmd_fit)
@@ -212,7 +211,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="sample networks from a saved model")
     sp.add_argument("model", help="model JSON file")
     sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--output-dir", default=".")
     sp.add_argument("--prefix", default="sample")
     sp.set_defaults(func=cmd_sample)
@@ -222,14 +221,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
     sp.add_argument("--from-model", action="store_true",
                     help="treat the input as a saved model (implied by a .json suffix)")
-    sp.add_argument("--infection-prob", "--beta", type=float, default=0.025,
-                    help="per-contact transmission probability")
-    sp.add_argument("--recovery-prob", "--gamma", type=float, default=0.025,
-                    help="per-step recovery probability")
-    sp.add_argument("--steps", type=int, default=30)
-    sp.add_argument("--initial-infectious", type=int, default=1)
+    sir = sp.add_argument_group("epidemic", argument_default=argparse.SUPPRESS)
+    sir.add_argument("--infection-prob", "--beta", dest="infection_probability", type=float,
+                     help="per-contact transmission probability")
+    sir.add_argument("--recovery-prob", "--gamma", dest="recovery_probability", type=float,
+                     help="per-step recovery probability")
+    sir.add_argument("--steps", type=int)
+    sir.add_argument("--initial-infectious", type=int)
     sp.add_argument("--runs", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--curves-out", default=None)
     sp.add_argument("--trajectories-out", default=None)
     sp.set_defaults(func=cmd_simulate)
@@ -254,23 +254,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help / --version
-        code = exc.code
-        return 0 if code is None else int(code)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return int(exc.code or 0)
+    except ContactNetError as exc:
+        code, message = exc.exit_code, exc
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input
+        code, message = DataError.exit_code, exc
     except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = ConfigError.exit_code, exc
     except MemoryError as exc:  # e.g. numpy refusing a huge --steps or --runs array
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+        code, message = ConfigError.exit_code, str(exc) or "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -118,6 +118,8 @@ class SpectralConfig:
             raise ValueError("kmeans_restarts must be at least 1")
         if self.kmeans_max_iters < 1:
             raise ValueError("kmeans_max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.eigenvalue_order not in EIGENVALUE_ORDERS:
             raise ValueError(f"unknown eigenvalue_order {self.eigenvalue_order!r}")
 

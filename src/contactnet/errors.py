@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError and its
-subclasses -> 2, NumericError -> 3.
+Each class states as `exit_code` the code the CLI exits with when it is raised.
 """
 
 
@@ -11,10 +10,12 @@ class ContactNetError(Exception):
 
 class ConfigError(ContactNetError):
     """Invalid CLI usage or experiment configuration."""
+    exit_code = 1
 
 
 class DataError(ContactNetError):
     """Input data is malformed or unsuitable for the requested operation."""
+    exit_code = 2
 
 
 class ParseError(DataError):
@@ -37,3 +38,4 @@ class FitError(DataError):
 
 class NumericError(ContactNetError):
     """A numerical routine failed (non-convergence, singular scaling)."""
+    exit_code = 3

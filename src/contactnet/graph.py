@@ -37,11 +37,14 @@ class Graph:
             raise ValueError("n_nodes must be nonnegative")
         if n_nodes > MAX_NODES:
             raise ValueError(f"n_nodes must be at most {MAX_NODES}")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs of node indices")
+        if not np.issubdtype(arr.dtype, np.integer):  # no rounding, bools or digit strings
+            raise ValueError(f"edge endpoints must be integers, got {arr.dtype} values")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n_nodes:
                 raise ValueError("edge endpoint out of range")

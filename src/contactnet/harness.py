@@ -56,6 +56,7 @@ from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, wri
 TOOL_VERSION = "0.1.0"
 
 MODEL_VARIANTS = tuple(VARIANTS)
+BLOCK_VARIANTS = ("sbm", "dcsbm")  # fitted to a partition of the nodes
 DATASET_FORMATS = tuple(READERS)
 AREA_AVERAGING = ("pooled", "per_network")
 
@@ -214,6 +215,8 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, traject
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if any(s < 0 for s in seed_path):
+        raise ValueError("seeds must be nonnegative")
     check_runnable(g, params)
     totals = np.zeros((3, params.steps + 1), dtype=np.int64)
     with nullcontext() if trajectories is None else open(
@@ -251,7 +254,7 @@ def _validate_against_graph(config: ExperimentConfig, g: Graph) -> None:
     needs_edges = {"degree", "dcsbm"} & {spec.variant for spec in config.models}
     if needs_edges and g.n_edges == 0:
         raise FitError("degree-based models cannot be fitted to an edgeless graph")
-    if {"sbm", "dcsbm"} & {spec.variant for spec in config.models} and g.n_nodes < 2:
+    if set(BLOCK_VARIANTS) & {spec.variant for spec in config.models} and g.n_nodes < 2:
         raise FitError("community models need at least 2 nodes")
 
 
@@ -332,7 +335,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     # fitting first surfaces fit errors before any epidemic runs
     # spectral_cluster is a pure function of (g, config): cluster once per distinct config
     partitions = {sc: spectral_cluster(g, sc) for sc in dict.fromkeys(
-        spec.spectral for spec in config.models if spec.variant in ("sbm", "dcsbm"))}
+        spec.spectral for spec in config.models if spec.variant in BLOCK_VARIANTS)}
     models = [fit_model(g, spec, partitions.get(spec.spectral)) for spec in config.models]
 
     # each ensemble writes its runs' counts under here while it runs

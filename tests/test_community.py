@@ -202,6 +202,8 @@ def test_spectral_cluster_config_validation():
         SpectralConfig(kmeans_restarts=0)
     with pytest.raises(ValueError):
         SpectralConfig(eigenvalue_order="random")
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SpectralConfig(seed=-1)
 
 
 def test_spectral_cluster_is_deterministic():

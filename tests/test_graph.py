@@ -47,6 +47,23 @@ def test_graph_rejects_bad_edges_and_labels():
         Graph(2, labels=("only-one",))
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1.7)], np.array([[0.9, 2.2]]), [(True, False)], [("0", "2")],
+])
+def test_graph_refuses_endpoints_that_are_not_integers(edges):
+    # each would otherwise be coerced to some other edge, e.g. (0.5, 1.7) to (0, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        Graph(3, edges)
+
+
+def test_graph_accepts_empty_and_any_integer_endpoints():
+    for empty in ([], (), np.empty((0, 2)), np.empty(0, dtype=float)):
+        assert Graph(3, empty).n_edges == 0
+    for edges in ([(2, 0)], np.array([[2, 0]], dtype=np.uint8), np.array([[0, 2]], dtype=np.int32)):
+        g = Graph(3, edges)
+        assert g.edges.tolist() == [[0, 2]] and g.edges.dtype == np.int64
+
+
 def test_adjacency_and_neighbors():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     dense = dense_adjacency(g)

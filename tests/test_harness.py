@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from contactnet import (
     ConfigError,
+    DataError,
     DatasetSpec,
     EnsembleConfig,
     ExperimentConfig,
@@ -26,6 +28,8 @@ from contactnet import (
     Graph,
     MetricsConfig,
     ModelSpec,
+    NumericError,
+    ParseError,
     SirParams,
     SpectralConfig,
     cli,
@@ -324,16 +328,22 @@ def test_cli_fit_generic_mode_flag(dataset, tmp_path):
     assert cli.main(["fit", dataset, "--model", "er", "--mode", "exact"]) == 1
 
 
-def test_cli_fit_partition_out(dataset, tmp_path):
+def test_cli_fit_partition_out(dataset, tmp_path, capsys):
     part = tmp_path / "part.csv"
     assert cli.main(["fit", dataset, "--model", "sbm", "--k-fixed", "2",
                      "-o", str(tmp_path / "m.json"), "--partition-out", str(part)]) == 0
     lines = part.read_text().splitlines()
     assert lines[0] == "node_label,community_index"
     assert len(lines) == 13
-    # partitions only exist for block models
+    capsys.readouterr()
+    # partitions only exist for block models, and that is refused before any fit
+    other = tmp_path / "other.csv"
     assert cli.main(["fit", dataset, "--model", "er",
-                     "--partition-out", str(part)]) == 1
+                     "--partition-out", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --partition-out applies only to sbm and dcsbm fits\n"
+    assert captured.out == ""
+    assert not other.exists()
 
 
 def test_cli_sample_and_simulate_round_trip(dataset, tmp_path, capsys):
@@ -432,13 +442,103 @@ def test_cli_unmet_allocation_is_one_error_line(dataset, capsys, monkeypatch, me
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("bad_args", [["--initial-infectious", "13"], ["--runs", "0"]])
+class _Stop(Exception):
+    """Raised by a captured callee, so the command goes no further."""
+
+
+def _capture(monkeypatch, name):
+    """Make cli.<name> record its positional arguments and stop the command."""
+    calls = []
+
+    def stop(*args):
+        calls.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(cli, name, stop)
+    return calls
+
+
+def _differs_in_every_field(value):
+    default = type(value)()
+    return all(getattr(value, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(value))
+
+
+def test_cli_fit_flags_reach_their_spectral_fields(dataset, monkeypatch):
+    fits = _capture(monkeypatch, "fit_model")
+    # no flag: the library's defaults, and nothing the CLI states itself
+    for variant in harness.MODEL_VARIANTS:
+        with pytest.raises(_Stop):
+            cli.main(["fit", dataset, "--model", variant])
+        assert fits.pop()[1] == ModelSpec(variant)
+    spectral = SpectralConfig(regularization=0.5, k_max=5, k_fixed=2, kmeans_restarts=3,
+                              kmeans_max_iters=7, seed=4, eigenvalue_order="value")
+    assert _differs_in_every_field(spectral)
+    flags = ["--regularization", "0.5", "--k-max", "5", "--k-fixed", "2",
+             "--kmeans-restarts", "3", "--kmeans-max-iters", "7", "--spectral-seed", "4",
+             "--eigenvalue-order", "value"]
+    for variant, field, mode in [("dcsbm", "dcsbm_mode", "plugin"),
+                                 ("degree", "degree_mode", "chung_lu")]:
+        with pytest.raises(_Stop):
+            cli.main(["fit", dataset, "--model", variant, "--mode", mode, *flags])
+        assert fits.pop()[1] == ModelSpec(variant, spectral=spectral, **{field: mode})
+
+
+def test_cli_simulate_flags_reach_their_sir_fields(dataset, monkeypatch):
+    runs = _capture(monkeypatch, "simulate_ensemble")
+    with pytest.raises(_Stop):
+        cli.main(["simulate", dataset])
+    assert runs.pop()[1:] == (SirParams(), 100, (0,), None)
+    params = SirParams(infection_probability=0.3, recovery_probability=0.2, steps=7,
+                       initial_infectious=2)
+    assert _differs_in_every_field(params)
+    for beta, gamma in [("--infection-prob", "--recovery-prob"), ("--beta", "--gamma")]:
+        with pytest.raises(_Stop):
+            cli.main(["simulate", dataset, beta, "0.3", gamma, "0.2", "--steps", "7",
+                      "--initial-infectious", "2"])
+        assert runs.pop()[1] == params
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("bad"), 1), (DataError("bad"), 2), (ParseError("bad"), 2),
+    (FitError("bad"), 2), (NumericError("bad"), 3),
+    (OSError("bad"), 2), (UnicodeDecodeError("utf-8", b"", 0, 1, "bad"), 2),
+    (ValueError("bad"), 1), (TypeError("bad"), 1),
+])
+def test_cli_exits_with_each_error_class_code(dataset, capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate_ensemble", fail)
+    if isinstance(error, (ConfigError, DataError, NumericError)):
+        assert error.exit_code == code
+    assert cli.main(["simulate", dataset]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("bad_args", [
+    ["--initial-infectious", "13"], ["--runs", "0"], ["--seed", "-1"],
+])
 def test_cli_simulate_failure_writes_no_trajectories(dataset, tmp_path, capsys, bad_args):
     traj = tmp_path / "t.csv"
     assert cli.main(["simulate", dataset, "--trajectories-out", str(traj), *bad_args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not traj.exists()
+
+
+def test_cli_negative_seed_is_refused_before_anything_is_read(dataset, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", dataset, "--model", "er", "-o", str(model_path)]) == 0
+    capsys.readouterr()
+    nets = tmp_path / "nets"
+    for argv in (["sample", str(model_path), "--seed", "-1", "--output-dir", str(nets)],
+                 ["simulate", str(tmp_path / "missing.edges"), "--seed", "-1"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: argument --seed: must be nonnegative, got -1\n"
+        assert captured.out == ""
+    assert not nets.exists()
 
 
 def test_cli_sample_unwritable_label_creates_nothing(tmp_path, capsys):
@@ -477,6 +577,7 @@ def test_cli_sample_unwritable_label_creates_nothing(tmp_path, capsys):
     {"dataset": {"path": 3}},
     {"models": [{"variant": "sbm", "spectral": {"regularization": float("inf")}}]},
     {"models": [{"variant": "sbm", "spectral": {"regularization": float("nan")}}]},
+    {"models": [{"variant": "sbm", "spectral": {"seed": -1}}]},
 ])
 def test_cli_experiment_rejects_mistyped_config(dataset, tmp_path, capsys, monkeypatch,
                                                overrides):
@@ -511,6 +612,8 @@ def test_config_errors_name_the_key_path():
          "invalid config.models[0].spectral: regularization must be finite and nonnegative"),
         ({"models": [{"variant": "sbm", "spectral": {"regularization": float("nan")}}]},
          "invalid config.models[0].spectral: regularization must be finite and nonnegative"),
+        ({"models": [{"variant": "sbm", "spectral": {"seed": -1}}]},
+         "invalid config.models[0].spectral: seed must be nonnegative"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(dict(base, **overrides))

@@ -47,6 +47,14 @@ def test_parameter_validation():
         simulate_ensemble(K2, SirParams(), 0, (0,))
 
 
+def test_ensemble_refuses_a_negative_seed_before_opening_its_file(tmp_path):
+    path = tmp_path / "runs.csv"
+    for seed_path in [(-1,), (0, -2)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_ensemble(K2, SirParams(), 2, seed_path, path)
+    assert not path.exists()
+
+
 def test_certain_infection_travels_as_a_wavefront():
     params = SirParams(1.0, 0.0, steps=3)
     t = simulate_sir(P4, params, np.random.default_rng(0), initial_nodes=[0])
