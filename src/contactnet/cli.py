@@ -36,6 +36,8 @@ from .metrics import (
     write_curves_csv,
 )
 from .models import (
+    DCSBM_MODES,
+    DEGREE_MODES,
     load_model,
     log_likelihood_per_pair,
     model_to_dict,
@@ -150,14 +152,7 @@ def cmd_evaluate(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             return read_curves_csv(fh)
 
-    actual = load(args.actual)
-    candidate = load(args.candidate)
-    if len(actual) != len(candidate):
-        raise DataError(f"curve files disagree on length: {len(actual)} vs {len(candidate)}")
-    if actual.population != candidate.population:
-        raise DataError(f"curve files disagree on population: "
-                        f"{actual.population} vs {candidate.population}")
-    area = area_between(actual, candidate, quadrature=args.quadrature)
+    area = area_between(load(args.actual), load(args.candidate), quadrature=args.quadrature)
     print(repr(area))
     return 0
 
@@ -195,7 +190,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
     sp.add_argument("--model", required=True, choices=MODEL_VARIANTS)
     sp.add_argument("--mode", default=None,
-                    help="mode of the degree (exact_sum, chung_lu) or dcsbm (exact, plugin) fit")
+                    help=f"mode of the degree ({', '.join(DEGREE_MODES)}) "
+                         f"or dcsbm ({', '.join(DCSBM_MODES)}) fit")
     spectral = sp.add_argument_group("spectral clustering", argument_default=argparse.SUPPRESS)
     spectral.add_argument("--k-fixed", type=int)
     spectral.add_argument("--k-max", type=int)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import FitError, NumericError
 from .graph import Graph
 
 SYMMETRY_TOL = 1e-10
@@ -82,10 +83,10 @@ def block_counts(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray
 
 
 def write_partition_csv(partition: Partition, labels, stream) -> None:
-    """Dump a partition as node_label,community_index rows."""
-    stream.write("node_label,community_index\n")
-    for lab, c in zip(labels, partition.assignments):
-        stream.write(f"{lab},{int(c)}\n")
+    """Dump a partition as node_label,community_index rows, quoting labels as CSV needs."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("node_label", "community_index"))
+    writer.writerows(zip(labels, partition.assignments.tolist()))
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,12 @@ def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Par
     eigenvector embedding, k-means. Pure function of (g, config)."""
     n = g.n_nodes
     if n < 2:
-        raise ValueError("spectral clustering needs at least 2 nodes")
+        raise FitError("spectral clustering needs at least 2 nodes")
     regularization = config.regularization
     if regularization is None:
+        if g.n_edges == 0:
+            raise FitError("spectral clustering's default regularization, the average "
+                           "degree, is 0 on an edgeless graph")
         regularization = 2 * g.n_edges / n  # average degree
     lap = regularized_laplacian(g, regularization)
     values, vectors = symmetric_eigendecomposition(lap)

@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
 Each class states as `exit_code` the code the CLI exits with when it is raised.
+`ConfigError` and `DataError` are also `ValueError`s, so a caller that catches
+`ValueError` catches them too.
 """
 
 
@@ -8,12 +10,12 @@ class ContactNetError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ConfigError(ContactNetError):
+class ConfigError(ContactNetError, ValueError):
     """Invalid CLI usage or experiment configuration."""
     exit_code = 1
 
 
-class DataError(ContactNetError):
+class DataError(ContactNetError, ValueError):
     """Input data is malformed or unsuitable for the requested operation."""
     exit_code = 2
 

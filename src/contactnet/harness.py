@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .community import Partition, SpectralConfig, spectral_cluster
-from .errors import ConfigError, FitError
+from .errors import ConfigError
 from .graph import (
     CLUSTERING_MODES,
     READERS,
@@ -245,19 +245,6 @@ def fit_model(g: Graph, spec: ModelSpec, partition: Partition | None = None):
     return fit_dcsbm(g, partition, mode=spec.dcsbm_mode)
 
 
-def _validate_against_graph(config: ExperimentConfig, g: Graph) -> None:
-    """Fail fast on config/graph mismatches before any simulation runs."""
-    if g.n_nodes < 1:
-        raise FitError("dataset has no nodes")
-    if config.sir.initial_infectious > g.n_nodes:
-        raise ConfigError("initial_infectious exceeds the dataset's node count")
-    needs_edges = {"degree", "dcsbm"} & {spec.variant for spec in config.models}
-    if needs_edges and g.n_edges == 0:
-        raise FitError("degree-based models cannot be fitted to an edgeless graph")
-    if set(BLOCK_VARIANTS) & {spec.variant for spec in config.models} and g.n_nodes < 2:
-        raise FitError("community models need at least 2 nodes")
-
-
 @dataclass
 class ModelResult:
     spec: ModelSpec
@@ -330,7 +317,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     """Execute the full protocol and write artifacts to config.output_dir."""
     started = time.perf_counter()
     g = read_graph(config.dataset.path, config.dataset.format)
-    _validate_against_graph(config, g)
+    check_runnable(g, config.sir)
 
     # fitting first surfaces fit errors before any epidemic runs
     # spectral_cluster is a pure function of (g, config): cluster once per distinct config

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 from .graph import _read_csv_rows
 
 CURVE_SUM_TOL = 1e-12
@@ -70,9 +70,9 @@ def area_between(a: MeanCurves, b: MeanCurves, quadrature: str = "trapezoid") ->
     if quadrature not in QUADRATURES:
         raise ValueError(f"unknown quadrature {quadrature!r}")
     if len(a) != len(b):
-        raise ValueError("curves must have the same length")
+        raise DataError(f"curves disagree on length: {len(a)} vs {len(b)}")
     if a.population != b.population:
-        raise ValueError("curves must refer to the same population")
+        raise DataError(f"curves disagree on population: {a.population} vs {b.population}")
     diffs = np.abs(a.fractions - b.fractions)
     if diffs.max() <= IDENTITY_TOL:
         return 0.0
@@ -188,11 +188,12 @@ def read_curves_csv(lines) -> MeanCurves:
     for lineno, (t, *fractions) in _read_csv_rows(it, ("t", "s", "i", "r"), exact=True,
                                                   header_line=2):
         try:
-            if int(t) != len(rows):
-                raise ParseError("time indices must be consecutive from 0", lineno)
-            rows.append([float(x) for x in fractions])
+            if int(t) == len(rows):
+                rows.append([float(x) for x in fractions])
+                continue
         except ValueError:
             raise ParseError("malformed curve row", lineno) from None
+        raise ParseError("time indices must be consecutive from 0", lineno)
     if not rows:
         raise ParseError("curves file holds no rows", 3)
     try:

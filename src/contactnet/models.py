@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .community import Partition, block_counts, check_assignments
-from .errors import ConfigError, FitError, NumericError, ParseError
+from .errors import FitError, NumericError, ParseError
 from .graph import Graph
 from .schema import from_json, to_json, write_json
 
@@ -393,5 +393,5 @@ def load_model(path: str) -> EdgeProbabilityModel:
             return model_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ParseError(f"model file is not valid JSON: {exc}") from None
-        except (ConfigError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from None

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import MeanCurves
 
@@ -60,11 +61,12 @@ def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
 
 
 def check_runnable(g: Graph, params: SirParams, initial_nodes=None) -> None:
-    """Raise ValueError unless simulate_sir can start a run of `params` on `g`."""
+    """Raise DataError for a graph no run can start on, ConfigError for more
+    initial infectious nodes than `g` has."""
     if g.n_nodes < 1:
-        raise ValueError("simulation needs at least one node")
+        raise DataError("simulation needs at least one node")
     if initial_nodes is None and params.initial_infectious > g.n_nodes:
-        raise ValueError("initial_infectious cannot exceed the node count")
+        raise ConfigError("initial_infectious cannot exceed the node count")
 
 
 def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajectory:

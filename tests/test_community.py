@@ -1,5 +1,6 @@
 """Spectral clustering pipeline and its numerical building blocks."""
 
+import csv
 import dataclasses
 import io
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from contactnet import (
+    FitError,
     Graph,
     NumericError,
     Partition,
@@ -84,6 +86,15 @@ def test_partition_csv_layout():
     assert buf.getvalue() == "node_label,community_index\nalice,0\nbob,0\ncarol,1\n"
 
 
+def test_partition_csv_quotes_labels_with_separators():
+    labels = ("a,x", 'q"t', "s p")
+    part = Partition(np.array([0, 1, 1]), 2)
+    buf = io.StringIO()
+    write_partition_csv(part, labels, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows == [["node_label", "community_index"], ["a,x", "0"], ['q"t', "1"], ["s p", "1"]]
+
+
 def test_regularized_laplacian_worked_examples():
     edge = Graph(2, [(0, 1)])
     assert np.allclose(regularized_laplacian(edge, 0.0), [[0, 1], [1, 0]])
@@ -152,6 +163,30 @@ def test_kmeans_is_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
+def test_kmeans_with_fewer_distinct_points_than_clusters_uses_every_label():
+    # k-means++ finds every distance 0 after two centroids, and Lloyd's step
+    # leaves the third cluster empty until it is reseeded
+    points = np.array([[0.0, 0.0]] * 4 + [[1.0, 0.0]] * 4)
+    a = kmeans(points, 3, rng=np.random.default_rng(5))
+    b = kmeans(points, 3, rng=np.random.default_rng(5))
+    assert sorted(set(a.tolist())) == [0, 1, 2]
+    assert np.array_equal(a, b)
+
+
+def test_spectral_cluster_more_communities_than_cliques_is_a_valid_partition():
+    g = disjoint_cliques([5, 5, 5, 5])
+    part = spectral_cluster(g, SpectralConfig(k_fixed=6))
+    assert part.k == 6
+    assert part == Partition.from_assignments(g, part.assignments)
+
+
+def test_spectral_cluster_refuses_an_edgeless_graph_only_under_the_default_regularization():
+    # the default regularization, the average degree, is 0 without edges
+    with pytest.raises(FitError, match="edgeless"):
+        spectral_cluster(Graph(4))
+    assert spectral_cluster(Graph(4), SpectralConfig(regularization=1.0)).k >= 1
+
+
 def test_spectral_cluster_splits_disjoint_cliques():
     g = disjoint_cliques([10, 10])
     part = spectral_cluster(g)
@@ -196,7 +231,7 @@ def test_spectral_cluster_config_validation():
     g = disjoint_cliques([4, 4])
     with pytest.raises(ValueError):
         spectral_cluster(g, SpectralConfig(k_max=8))  # k_max must stay below N
-    with pytest.raises(ValueError):
+    with pytest.raises(FitError, match="at least 2 nodes"):
         spectral_cluster(Graph(1))
     with pytest.raises(ValueError):
         SpectralConfig(kmeans_restarts=0)

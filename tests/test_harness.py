@@ -220,10 +220,14 @@ def test_run_experiment_saves_trajectories_when_asked(dataset, tmp_path):
         assert files == ["network_000.csv", "network_001.csv", "network_002.csv"]
 
 
-def test_run_experiment_validates_before_simulating(dataset, tmp_path):
+def test_run_experiment_validates_before_simulating(dataset, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("clustered before the epidemic parameters were checked")
+
+    monkeypatch.setattr(harness, "spectral_cluster", refuse)
     bad = small_config(dataset, str(tmp_path / "x"),
                        sir=SirParams(0.3, 0.2, steps=6, initial_infectious=100))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="initial_infectious"):
         run_experiment(bad)
 
     empty = tmp_path / "empty.edges"
@@ -860,6 +864,53 @@ def test_cli_csv_misreadings_exit_2_with_their_line(tmp_path, argv, text, messag
     (tmp_path / "data").write_text(text)
     code, err = _run_cli(argv, tmp_path)
     assert (code, err) == (2, f"error: {message}\n")
+
+
+# the experiment configs the table below runs: every model, sbm alone, too many seeds
+_EXPERIMENTS = {
+    "all.json": {},
+    "sbm.json": {"models": [{"variant": "sbm"}]},
+    "infect9.json": {"sir": {"initial_infectious": 9}},
+}
+
+
+@pytest.mark.parametrize("graph, argv, code, message", [
+    ("%N 0\n", ["simulate", "data"], 2, "simulation needs at least one node"),
+    ("%N 0\n", ["fit", "data", "--model", "sbm"], 2, "clustering needs at least 2 nodes"),
+    ("%N 0\n", ["experiment", "all.json"], 2, "simulation needs at least one node"),
+    ("%N 1\n", ["fit", "data", "--model", "sbm"], 2, "clustering needs at least 2 nodes"),
+    ("%N 1\n", ["fit", "data", "--model", "dcsbm"], 2, "clustering needs at least 2 nodes"),
+    ("%N 1\n", ["experiment", "sbm.json"], 2, "clustering needs at least 2 nodes"),
+    ("%N 4\n", ["fit", "data", "--model", "sbm"], 2, "is 0 on an edgeless graph"),
+    ("%N 4\n", ["experiment", "sbm.json"], 2, "is 0 on an edgeless graph"),
+    ("%N 4\n", ["fit", "data", "--model", "sbm", "--regularization", "1"], 0, None),
+    ("%N 3\na b\n", ["fit", "data", "--model", "sbm", "--regularization", "0"], 3,
+     "zero regularization with an isolated node"),
+    ("a b\nb c\nc d\nd a\n", ["simulate", "data", "--initial-infectious", "9"], 1,
+     "initial_infectious cannot exceed the node count"),
+    ("a b\nb c\nc d\nd a\n", ["experiment", "infect9.json"], 1,
+     "initial_infectious cannot exceed the node count"),
+    (_CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n1,1.0,0.0,0.0\n", ["evaluate", "data", "reference"],
+     2, "curves disagree on length: 2 vs 1"),
+], ids=["no-nodes-simulate", "no-nodes-fit", "no-nodes-experiment", "one-node-fit-sbm",
+        "one-node-fit-dcsbm", "one-node-experiment", "edgeless-fit", "edgeless-experiment",
+        "edgeless-fit-regularized", "isolated-node-fit-unregularized",
+        "too-many-seeds-simulate", "too-many-seeds-experiment", "unequal-curves-evaluate"])
+def test_cli_unusable_input_exits_alike_from_every_command(tmp_path, graph, argv, code,
+                                                           message):
+    (tmp_path / "data").write_text(graph)
+    (tmp_path / "reference").write_text(_CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n")
+    for name, fields in _EXPERIMENTS.items():
+        cfg = {"dataset": {"path": "data"}, "output_dir": "out",
+               "ensemble": {"actual_runs": 2, "sampled_networks": 1, "runs_per_network": 1},
+               **fields}
+        (tmp_path / name).write_text(json.dumps(cfg))
+    got, err = _run_cli(argv, tmp_path)
+    assert got == code
+    if message is None:
+        assert "error:" not in err
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("rows, n_nodes, n_edges", [

@@ -2,12 +2,14 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactnet import (
+    DataError,
     MeanCurves,
     ParseError,
     QualityRow,
@@ -89,9 +91,9 @@ def test_area_requires_matching_length_and_population():
     a = curves([1.0, 0.9], [0.0, 0.1], [0.0, 0.0])
     longer = curves([1.0, 0.9, 0.8], [0.0, 0.1, 0.2], [0.0, 0.0, 0.0])
     other_pop = curves([1.0, 0.9], [0.0, 0.1], [0.0, 0.0], population=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="disagree on length: 2 vs 3"):
         area_between(a, longer)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="disagree on population: 10 vs 7"):
         area_between(a, other_pop)
 
 
@@ -134,6 +136,18 @@ def test_quality_table_marks_minima():
     assert "1.820000 *" not in text
 
 
+def test_quality_table_renders_an_infinite_score_as_inf():
+    rows = [QualityRow("er", 0.9, 0.5, 1), QualityRow("dcsbm", 0.4, math.inf, 8)]
+    flags = {row["model"]: row["is_minimum"] for row in quality_table(rows)["rows"]}
+    assert flags["dcsbm"]["neg_log_likelihood_per_pair"] is False
+    assert flags["er"]["neg_log_likelihood_per_pair"] is True
+    lines = render_quality_table(rows).splitlines()
+    assert [re.split(r" {2,}", line) for line in lines[1:]] == [
+        ["er", "0.900000", "0.500000 *", "1 *"],
+        ["dcsbm", "0.400000 *", "inf", "8"],
+    ]
+
+
 def test_quality_table_ties_mark_every_minimum():
     rows = [QualityRow("a", 0.5, 0.1, 3), QualityRow("b", 0.5, 0.2, 3)]
     table = quality_table(rows)
@@ -163,3 +177,8 @@ def test_curves_csv_rejects_malformed_input():
         read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,nan,0.0,0.0"])
     with pytest.raises(ParseError):
         read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,inf,0.0,0.0"])
+    with pytest.raises(ParseError, match="^line 4: time indices must be consecutive from 0$"):
+        read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,1.0,0.0,0.0",
+                         "2,1.0,0.0,0.0"])
+    with pytest.raises(ParseError, match="^line 3: malformed curve row$"):
+        read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,one,0.0,0.0"])

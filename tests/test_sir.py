@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from contactnet import (
+    ConfigError,
+    DataError,
     Graph,
     SirParams,
     Trajectory,
@@ -41,8 +43,10 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         SirParams(initial_infectious=-1)
     assert simulate_sir(K2, SirParams(steps=0), np.random.default_rng(0)).s_counts.shape == (1,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="initial_infectious"):
         simulate_sir(K2, SirParams(initial_infectious=5), np.random.default_rng(0))
+    with pytest.raises(DataError, match="at least one node"):
+        simulate_sir(Graph(0), SirParams(initial_infectious=0), np.random.default_rng(0))
     with pytest.raises(ValueError):
         simulate_ensemble(K2, SirParams(), 0, (0,))
 
