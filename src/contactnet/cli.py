@@ -20,6 +20,8 @@ from .harness import (
     DATASET_FORMATS,
     MODEL_VARIANTS,
     TOOL_VERSION,
+    DatasetSpec,
+    MetricsConfig,
     ModelSpec,
     dataset_stats,
     fit_model,
@@ -182,12 +184,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("stats", help="summary statistics of a dataset")
     sp.add_argument("path")
-    sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
+    sp.add_argument("--format", choices=DATASET_FORMATS, default=DatasetSpec.format)
     sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("fit", help="fit an edge-probability model to a dataset")
     sp.add_argument("path")
-    sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
+    sp.add_argument("--format", choices=DATASET_FORMATS, default=DatasetSpec.format)
     sp.add_argument("--model", required=True, choices=MODEL_VARIANTS)
     sp.add_argument("--mode", default=None,
                     help=f"mode of the degree ({', '.join(DEGREE_MODES)}) "
@@ -214,7 +216,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="run an epidemic ensemble, print mean curves")
     sp.add_argument("path", help="graph file, or model JSON to sample one network from")
-    sp.add_argument("--format", choices=DATASET_FORMATS, default="edge_list")
+    sp.add_argument("--format", choices=DATASET_FORMATS, default=DatasetSpec.format)
     sp.add_argument("--from-model", action="store_true",
                     help="treat the input as a saved model (implied by a .json suffix)")
     sir = sp.add_argument_group("epidemic", argument_default=argparse.SUPPRESS)
@@ -233,7 +235,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("evaluate", help="area between two saved mean-curve files")
     sp.add_argument("actual")
     sp.add_argument("candidate")
-    sp.add_argument("--quadrature", choices=QUADRATURES, default="trapezoid")
+    sp.add_argument("--quadrature", choices=QUADRATURES, default=MetricsConfig.quadrature)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("experiment", help="run the full comparison protocol from a config")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .community import Partition, SpectralConfig, spectral_cluster
-from .errors import ConfigError
+from .errors import ConfigError, UndefinedStatisticError
 from .graph import (
     CLUSTERING_MODES,
     READERS,
@@ -53,7 +53,7 @@ from .schema import from_json, to_json, write_json
 from .seeding import derived_rng
 from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, write_trajectory_rows
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # also the package version: pyproject.toml reads it
 
 MODEL_VARIANTS = tuple(VARIANTS)
 BLOCK_VARIANTS = ("sbm", "dcsbm")  # fitted to a partition of the nodes
@@ -183,22 +183,30 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # dataset summary
 
+def _defined(statistic, g: Graph):
+    """statistic(g), or None where the statistic is undefined on g."""
+    try:
+        return statistic(g)
+    except UndefinedStatisticError:
+        return None
+
+
 def graph_summary(g: Graph, path: str, fmt: str) -> dict:
-    stats = degree_stats(g)
+    stats = _defined(degree_stats, g)
     return {
         "path": path,
         "format": fmt,
         "n_nodes": g.n_nodes,
         "n_edges": g.n_edges,
-        "density": density(g) if g.n_nodes >= 2 else None,
+        "density": _defined(density, g),
         "clustering_average_local": clustering_coefficient(g, "average_local"),
         "clustering_global_transitivity": clustering_coefficient(g, "global_transitivity"),
-        "average_degree": stats.average,
-        "max_degree": stats.maximum,
+        "average_degree": stats and stats.average,
+        "max_degree": stats and stats.maximum,
     }
 
 
-def dataset_stats(path: str, fmt: str = "edge_list") -> dict:
+def dataset_stats(path: str, fmt: str = DatasetSpec.format) -> dict:
     """Summary statistics of a dataset file (the fields of a dataset table)."""
     return graph_summary(read_graph(path, fmt), path, fmt)
 
@@ -243,14 +251,6 @@ def fit_model(g: Graph, spec: ModelSpec, partition: Partition | None = None):
     if spec.variant == "sbm":
         return fit_sbm(g, partition)
     return fit_dcsbm(g, partition, mode=spec.dcsbm_mode)
-
-
-@dataclass
-class ModelResult:
-    spec: ModelSpec
-    row: QualityRow
-    curves: MeanCurves
-    details: dict
 
 
 @dataclass
@@ -310,7 +310,7 @@ def _evaluate_model(g, spec, model, model_index, config, actual, trajectory_dir)
         "area_between_sir_curves": area,
         "neg_log_likelihood_per_pair": nll,
     }
-    return ModelResult(spec, row, pooled, details)
+    return row, pooled, details
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsReport:
@@ -338,19 +338,17 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
     actual = counts_to_curves(actual_totals, config.ensemble.actual_runs, g.n_nodes)
 
     # popped, not iterated, so no model's cached pair probabilities outlive its evaluation
-    results = [
-        _evaluate_model(g, spec, models.pop(0), mi, config, actual, trajectory_dir)
-        for mi, spec in enumerate(config.models)
-    ]
-
-    curves = {"actual": actual}
-    for res in results:
-        curves[res.spec.name] = res.curves
+    rows, model_details, curves = [], [], {"actual": actual}
+    for mi, spec in enumerate(config.models):
+        row, curves[spec.name], details = _evaluate_model(
+            g, spec, models.pop(0), mi, config, actual, trajectory_dir)
+        rows.append(row)
+        model_details.append(details)
 
     report = ResultsReport(
         dataset=graph_summary(g, config.dataset.path, config.dataset.format),
-        rows=[res.row for res in results],
-        model_details=[res.details for res in results],
+        rows=rows,
+        model_details=model_details,
         curves=curves,
         provenance={
             "tool": "contactnet",

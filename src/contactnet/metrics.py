@@ -103,14 +103,10 @@ class QualityRow:
 _MEASURES = ("area", "neg_log_likelihood_per_pair", "parameter_count")
 
 
-def _minima(rows: list[QualityRow]) -> dict[str, float]:
-    return {m: min(getattr(r, m) for r in rows) for m in _MEASURES}
-
-
 def quality_table(rows: list[QualityRow]) -> dict:
     """JSON-able fragment: one entry per row, with the per-measure minima marked."""
     rows = list(rows)
-    minima = _minima(rows) if rows else {}
+    minima = {m: min(getattr(r, m) for r in rows) for m in _MEASURES} if rows else {}
     return {"rows": [
         {
             "model": r.model_name,
@@ -123,30 +119,21 @@ def quality_table(rows: list[QualityRow]) -> dict:
     ]}
 
 
-def _fmt_measure(value: float, minimum: float, integer: bool = False) -> str:
+def _fmt_measure(value: float, integer: bool = False) -> str:
     if math.isinf(value):
-        text = "inf"
-    elif integer:
-        text = str(int(value))
-    else:
-        text = f"{value:.6f}"
-    if value == minimum:
-        text += " *"
-    return text
+        return "inf"
+    return str(int(value)) if integer else f"{value:.6f}"
 
 
 def render_quality_table(rows: list[QualityRow]) -> str:
-    """Aligned-text rendering; '*' marks the best (lowest) value per measure."""
-    rows = list(rows)
-    minima = _minima(rows) if rows else {}
+    """Aligned-text rendering of quality_table(rows); ' *' marks each is_minimum cell."""
     table = [["model", "area_between_sir_curves", "neg_log_likelihood_per_pair",
               "parameter_count"]]
-    for r in rows:
-        table.append([
-            r.model_name,
-            _fmt_measure(r.area, minima["area"]),
-            _fmt_measure(r.neg_log_likelihood_per_pair, minima["neg_log_likelihood_per_pair"]),
-            _fmt_measure(float(r.parameter_count), minima["parameter_count"], integer=True),
+    for entry in quality_table(rows)["rows"]:
+        table.append([entry["model"]] + [
+            _fmt_measure(entry[m], integer=m == "parameter_count")
+            + (" *" if entry["is_minimum"][m] else "")
+            for m in _MEASURES
         ])
     widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -878,6 +879,7 @@ _EXPERIMENTS = {
     ("%N 0\n", ["simulate", "data"], 2, "simulation needs at least one node"),
     ("%N 0\n", ["fit", "data", "--model", "sbm"], 2, "clustering needs at least 2 nodes"),
     ("%N 0\n", ["experiment", "all.json"], 2, "simulation needs at least one node"),
+    ("%N 0\n", ["stats", "data"], 0, None),
     ("%N 1\n", ["fit", "data", "--model", "sbm"], 2, "clustering needs at least 2 nodes"),
     ("%N 1\n", ["fit", "data", "--model", "dcsbm"], 2, "clustering needs at least 2 nodes"),
     ("%N 1\n", ["experiment", "sbm.json"], 2, "clustering needs at least 2 nodes"),
@@ -892,9 +894,9 @@ _EXPERIMENTS = {
      "initial_infectious cannot exceed the node count"),
     (_CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n1,1.0,0.0,0.0\n", ["evaluate", "data", "reference"],
      2, "curves disagree on length: 2 vs 1"),
-], ids=["no-nodes-simulate", "no-nodes-fit", "no-nodes-experiment", "one-node-fit-sbm",
-        "one-node-fit-dcsbm", "one-node-experiment", "edgeless-fit", "edgeless-experiment",
-        "edgeless-fit-regularized", "isolated-node-fit-unregularized",
+], ids=["no-nodes-simulate", "no-nodes-fit", "no-nodes-experiment", "no-nodes-stats",
+        "one-node-fit-sbm", "one-node-fit-dcsbm", "one-node-experiment", "edgeless-fit",
+        "edgeless-experiment", "edgeless-fit-regularized", "isolated-node-fit-unregularized",
         "too-many-seeds-simulate", "too-many-seeds-experiment", "unequal-curves-evaluate"])
 def test_cli_unusable_input_exits_alike_from_every_command(tmp_path, graph, argv, code,
                                                            message):
@@ -913,6 +915,54 @@ def test_cli_unusable_input_exits_alike_from_every_command(tmp_path, graph, argv
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def test_cli_stats_reads_n_a_for_what_a_graph_with_no_nodes_leaves_undefined(tmp_path, capsys):
+    (tmp_path / "data").write_text("%N 0\n")
+    assert cli.main(["stats", str(tmp_path / "data")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for key in ("density", "average_degree", "max_degree"):
+        assert f"{key}: n/a" in lines
+    assert "n_nodes: 0" in lines and "clustering_average_local: 0.0" in lines
+
+
+@pytest.mark.parametrize("graph, argv, code, message", [
+    ("%N 3\n%N 3\n", ["stats", "data"], 2, "line 2: duplicate node-count header"),
+    ("%N -1\n", ["stats", "data"], 2, "line 1: node count must be nonnegative"),
+    ("a a\n", ["stats", "data"], 2, "line 1: self-loop on node 'a'"),
+    ("%N 1\n", ["fit", "data", "--model", "er"], 2, "er model needs at least 2 nodes"),
+    ("a b\n", ["sample", "model.json", "--count", "0"], 1, "--count must be at least 1"),
+    ("a b\n", ["experiment", "negative_seed.json"], 1, "master_seed must be nonnegative"),
+], ids=["duplicate-header", "negative-node-count", "self-loop", "one-node-fit-er",
+        "zero-sample-count", "negative-master-seed"])
+def test_cli_refuses_malformed_input_with_one_error_line(tmp_path, graph, argv, code, message):
+    (tmp_path / "data").write_text(graph)
+    (tmp_path / "model.json").write_text(json.dumps(_MODEL_DOCS["er"]))
+    (tmp_path / "negative_seed.json").write_text(
+        json.dumps({"dataset": {"path": "data"}, "master_seed": -1}))
+    got, err = _run_cli(argv, tmp_path)
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv, dest, config_class", [
+    (["stats", "g"], "format", DatasetSpec),
+    (["fit", "g", "--model", "er"], "format", DatasetSpec),
+    (["simulate", "g"], "format", DatasetSpec),
+    (["evaluate", "a", "b"], "quadrature", MetricsConfig),
+])
+def test_cli_defaults_are_the_config_defaults(argv, dest, config_class):
+    default = {f.name: f.default for f in dataclasses.fields(config_class)}[dest]
+    assert getattr(cli.build_parser().parse_args(argv), dest) == default
+
+
+def test_package_version_is_the_tool_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        # older setuptools call [tool.setuptools] support beta, and warn about it
+        warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`")
+        config = pyprojecttoml.read_configuration(os.path.join(ROOT_DIR, "pyproject.toml"))
+    assert config["project"]["version"] == harness.TOOL_VERSION
+
+
 @pytest.mark.parametrize("rows, n_nodes, n_edges", [
     ("e1,a\ne1,b\ne1,a\n", 2, 1),  # a listed twice in e1 adds no edge
     ("e1,a\ne1,b\ne2,c\n", 3, 1),  # c, alone at e2, is an isolated node
@@ -924,7 +974,8 @@ def test_cli_attendance_counts_each_attendee_once(tmp_path, capsys, rows, n_node
     assert f"n_nodes: {n_nodes}\n" in out and f"n_edges: {n_edges}\n" in out
 
 
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_DIR = os.path.join(ROOT_DIR, "src")
 
 
 def _run_python(code, cwd, timeout=120):
@@ -976,7 +1027,7 @@ def test_cli_rejects_a_huge_declared_node_count_at_the_header(tmp_path):
     assert "line 1" in proc.stderr
 
 
-PERFBENCH_DIR = os.path.join(os.path.dirname(SRC_DIR), "perfbench")
+PERFBENCH_DIR = os.path.join(ROOT_DIR, "perfbench")
 
 
 def test_benchmark_trace_hooks_see_every_layer(dataset, tmp_path):

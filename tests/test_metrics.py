@@ -155,6 +155,19 @@ def test_quality_table_ties_mark_every_minimum():
     assert all(row["is_minimum"]["parameter_count"] for row in table["rows"])
 
 
+def test_rendered_marks_are_quality_table_flags():
+    # a tie on area, an infinite likelihood beside a finite minimum, a unique count minimum
+    rows = [QualityRow("a", 0.5, math.inf, 3), QualityRow("b", 0.5, 0.2, 2),
+            QualityRow("c", 0.7, 0.3, 4)]
+    entries = quality_table(rows)["rows"]
+    cells = [re.split(r" {2,}", line)[1:] for line in render_quality_table(rows).splitlines()[1:]]
+    measures = ("area", "neg_log_likelihood_per_pair", "parameter_count")
+    assert [[cell.endswith(" *") for cell in row] for row in cells] == [
+        [entry["is_minimum"][m] for m in measures] for entry in entries]
+    assert [row[0] for row in cells] == ["0.500000 *", "0.500000 *", "0.700000"]
+    assert [row[1] for row in cells] == ["inf", "0.200000 *", "0.300000"]
+
+
 def test_curves_csv_round_trip_is_bit_exact():
     mc = curves([1.0, 2 / 3, 1 / 3], [0.0, 1 / 3, 1 / 3], [0.0, 0.0, 1 / 3],
                 n_runs=17, population=9)
