@@ -237,18 +237,6 @@ def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, rng=None) -
     return best_assign
 
 
-def _canonical_relabel(assign: np.ndarray) -> np.ndarray:
-    """Relabel communities by ascending smallest member index, compacting unused labels."""
-    mapping: dict[int, int] = {}
-    out = np.empty_like(assign)
-    for i, c in enumerate(assign):
-        c = int(c)
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out[i] = mapping[c]
-    return out
-
-
 def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Partition:
     """Full pipeline: regularized Laplacian, eigengap K selection, row-normalized
     eigenvector embedding, k-means. Pure function of (g, config)."""
@@ -290,4 +278,6 @@ def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Par
         max_iters=config.kmeans_max_iters,
         rng=np.random.default_rng(config.seed),
     )
-    return Partition.from_assignments(g, _canonical_relabel(assign))
+    # number the communities in the order of their smallest member index
+    _, first, inverse = np.unique(assign, return_index=True, return_inverse=True)
+    return Partition(np.argsort(np.argsort(first))[inverse], len(first))

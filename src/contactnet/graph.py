@@ -6,6 +6,7 @@ import csv
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -23,21 +24,35 @@ WEDGE_BLOCK = 1 << 16
 CLUSTERING_MODES = ("average_local", "global_transitivity")
 
 
+def check_labels(labels: tuple[str, ...], n_nodes: int) -> None:
+    """Refuse node labels unless there is one per node and no two are equal."""
+    if len(labels) != n_nodes:
+        raise ValueError("label count must equal n_nodes")
+    if len(set(labels)) != n_nodes:
+        raise ValueError("node labels must be unique")
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph with dense 0-based node indices.
 
-    Edges are stored canonically as a lexicographically sorted (M, 2) integer
-    array with i < j in every row; duplicates (including reversed duplicates)
-    collapse during construction. Nodes carry string labels, index -> label.
+    Edges are stored canonically as a read-only, lexicographically sorted
+    (M, 2) integer array with i < j in every row; duplicates (including
+    reversed duplicates) collapse during construction. Nodes carry string
+    labels, index -> label; by default each node's index.
     """
 
-    def __init__(self, n_nodes: int, edges=(), labels: tuple[str, ...] | None = None):
-        n_nodes = int(n_nodes)
+    n_nodes: int
+    edges: np.ndarray = ()
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        n_nodes = int(self.n_nodes)
         if n_nodes < 0:
             raise ValueError("n_nodes must be nonnegative")
         if n_nodes > MAX_NODES:
             raise ValueError(f"n_nodes must be at most {MAX_NODES}")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        arr = np.asarray(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges))
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -58,39 +73,23 @@ class Graph:
             arr = np.column_stack(np.divmod(key, n_nodes))
         arr.setflags(write=False)
 
-        if labels is None:
+        if self.labels is None:
             labels = tuple(str(i) for i in range(n_nodes))
         else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n_nodes:
-                raise ValueError("label count must equal n_nodes")
-            if len(set(labels)) != n_nodes:
-                raise ValueError("node labels must be unique")
+            labels = tuple(str(x) for x in self.labels)
+            check_labels(labels, n_nodes)
 
-        self._n_nodes = n_nodes
-        self._edges = arr
-        self._labels = labels
-
-    @property
-    def n_nodes(self) -> int:
-        return self._n_nodes
+        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "edges", arr)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_edges(self) -> int:
-        return self._edges.shape[0]
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Read-only (M, 2) array, rows sorted lexicographically, i < j per row."""
-        return self._edges
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return self.edges.shape[0]
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.bincount(self._edges.ravel(), minlength=self._n_nodes).astype(np.int64)
+        deg = np.bincount(self.edges.ravel(), minlength=self.n_nodes).astype(np.int64)
         deg.setflags(write=False)
         return deg
 
@@ -98,16 +97,60 @@ class Graph:
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Both directions of every edge as read-only (tails, heads), sorted by
         (tail, head): CSR order, so node i's neighbours are one slice of heads."""
-        n = self._n_nodes
-        i, j = self._edges[:, 0], self._edges[:, 1]
+        n = self.n_nodes
+        i, j = self.edges[:, 0], self.edges[:, 1]
         tails, heads = np.divmod(np.sort(np.concatenate((i * n + j, j * n + i))), n)
         tails.setflags(write=False)
         heads.setflags(write=False)
         return tails, heads
 
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """Triangles at each node, as exact integers in a read-only float array.
+
+        Each edge points at its end of higher (degree, index) rank, so every
+        triangle is one wedge of out-neighbours at its lowest-ranked corner (the
+        "forward" algorithm of Schank & Wagner 2005). Each wedge is closed by a
+        search in the sorted edge keys, WEDGE_BLOCK wedges at a time.
+        """
+        n = self.n_nodes
+        tails, heads = self.arcs
+        deg = self.degrees
+        forward = (deg[tails] < deg[heads]) | ((deg[tails] == deg[heads]) & (tails < heads))
+        tails, heads = tails[forward], heads[forward]
+        # the wedges an out-arc opens with the later out-arcs of its tail; heads
+        # ascend within a tail, so wedge (v, w) has v < w and closing key v * n + w
+        later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(tails.size) - 1
+        opened = np.cumsum(later)
+        # a sentinel above every key, so each search lands on an entry
+        edge_keys = np.append(self.edges[:, 0] * n + self.edges[:, 1], n * n)
+        tri = np.zeros(n)
+        start = 0
+        while start < tails.size:
+            stop = int(np.searchsorted(opened, opened[start] - later[start] + WEDGE_BLOCK, "right"))
+            stop = max(stop, start + 1)
+            count = later[start:stop]
+            ends = np.cumsum(count)
+            # arc p opens wedges with the arcs at p + 1 .. p + count[p]
+            shift = np.arange(start + 1, stop + 1) - ends + count
+            second = np.arange(ends[-1]) + np.repeat(shift, count)
+            w = heads[second]
+            key = np.repeat(heads[start:stop] * n, count) + w
+            closed = edge_keys[np.searchsorted(edge_keys, key)] == key
+            # closed wedges per opening arc, at its tail and at its head
+            closed_before = np.zeros(closed.size + 1, dtype=np.int64)
+            np.cumsum(closed, out=closed_before[1:])
+            per_arc = closed_before[ends] - closed_before[ends - count]
+            tri += np.bincount(tails[start:stop], per_arc, n)
+            tri += np.bincount(heads[start:stop], per_arc, n)
+            tri += np.bincount(w[closed], minlength=n)
+            start = stop
+        tri.setflags(write=False)
+        return tri
+
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of node i, a read-only view."""
-        if not 0 <= i < self._n_nodes:
+        if not 0 <= i < self.n_nodes:
             raise ValueError(f"node index {i} out of range")
         tails, heads = self.arcs
         lo, hi = np.searchsorted(tails, (i, i + 1))
@@ -117,16 +160,16 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (
-            self._n_nodes == other._n_nodes
-            and self._labels == other._labels
-            and np.array_equal(self._edges, other._edges)
+            self.n_nodes == other.n_nodes
+            and self.labels == other.labels
+            and np.array_equal(self.edges, other.edges)
         )
 
     def __hash__(self):
-        return hash((self._n_nodes, self._labels, self._edges.tobytes()))
+        return hash((self.n_nodes, self.labels, self.edges.tobytes()))
 
     def __repr__(self):
-        return f"Graph(n_nodes={self._n_nodes}, n_edges={self.n_edges})"
+        return f"Graph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
 # ---------------------------------------------------------------------------
@@ -303,48 +346,6 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(deg, 2 * g.n_edges / g.n_nodes, int(deg.max()))
 
 
-def _triangles_per_node(g: Graph) -> np.ndarray:
-    """Triangles at each node, as exact integers in a float array.
-
-    Each edge points at its end of higher (degree, index) rank, so every
-    triangle is one wedge of out-neighbours at its lowest-ranked corner (the
-    "forward" algorithm of Schank & Wagner 2005). Each wedge is closed by a
-    search in the sorted edge keys, WEDGE_BLOCK wedges at a time.
-    """
-    n = g.n_nodes
-    tails, heads = g.arcs
-    deg = g.degrees
-    forward = (deg[tails] < deg[heads]) | ((deg[tails] == deg[heads]) & (tails < heads))
-    tails, heads = tails[forward], heads[forward]
-    # the wedges an out-arc opens with the later out-arcs of its tail; heads
-    # ascend within a tail, so wedge (v, w) has v < w and closing key v * n + w
-    later = np.cumsum(np.bincount(tails, minlength=n))[tails] - np.arange(tails.size) - 1
-    opened = np.cumsum(later)
-    # a sentinel above every key, so each search lands on an entry
-    edge_keys = np.append(g.edges[:, 0] * n + g.edges[:, 1], n * n)
-    tri = np.zeros(n)
-    start = 0
-    while start < tails.size:
-        stop = int(np.searchsorted(opened, opened[start] - later[start] + WEDGE_BLOCK, "right"))
-        stop = max(stop, start + 1)
-        count = later[start:stop]
-        ends = np.cumsum(count)
-        # arc p opens wedges with the arcs at p + 1 .. p + count[p]
-        second =np.arange(ends[-1]) + np.repeat(np.arange(start + 1, stop + 1) - ends + count, count)
-        w = heads[second]
-        key = np.repeat(heads[start:stop] * n, count) + w
-        closed = edge_keys[np.searchsorted(edge_keys, key)] == key
-        # closed wedges per opening arc, at its tail and at its head
-        closed_before = np.zeros(closed.size + 1, dtype=np.int64)
-        np.cumsum(closed, out=closed_before[1:])
-        per_arc = closed_before[ends] - closed_before[ends - count]
-        tri += np.bincount(tails[start:stop], per_arc, n)
-        tri += np.bincount(heads[start:stop], per_arc, n)
-        tri += np.bincount(w[closed], minlength=n)
-        start = stop
-    return tri
-
-
 def clustering_coefficient(g: Graph, mode: str = "average_local") -> float:
     """Clustering coefficient.
 
@@ -357,7 +358,7 @@ def clustering_coefficient(g: Graph, mode: str = "average_local") -> float:
     n = g.n_nodes
     if n == 0 or g.n_edges == 0:
         return 0.0
-    tri = _triangles_per_node(g)
+    tri = g.triangles
     deg = g.degrees.astype(float)
     wedges = deg * (deg - 1) / 2.0
     if mode == "average_local":

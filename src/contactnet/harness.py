@@ -10,6 +10,7 @@ never depend on execution order.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -65,6 +66,9 @@ _BRANCH_ACTUAL = 0
 _BRANCH_SAMPLE = 1
 _BRANCH_EPIDEMIC = 2
 
+# the longest file name, in bytes, that common file systems accept
+NAME_MAX = 255
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -97,7 +101,8 @@ class ModelSpec:
             object.__setattr__(self, "name", self.variant)
         if self.name == "actual":
             raise ValueError("model name 'actual' is reserved for the actual-graph curves")
-        if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
+        if (self.name in (".", "..") or any(c in self.name for c in "/\\\0")
+                or len(os.fsencode(f"curves_{self.name}.csv")) > NAME_MAX):
             raise ValueError(f"model name {self.name!r} cannot serve as a file name")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .community import Partition, block_counts, check_assignments
 from .errors import FitError, NumericError, ParseError
-from .graph import Graph
+from .graph import Graph, check_labels
 from .schema import from_json, to_json, write_json
 
 DEGREE_SUM_TOL = 1e-9
@@ -94,10 +94,7 @@ def _freeze_array(model, name: str, integer: bool = False) -> None:
 def _validate_common(model) -> None:
     if model.n_nodes < 1:
         raise ValueError("model needs at least one node")
-    if len(model.labels) != model.n_nodes:
-        raise ValueError("label count must equal n_nodes")
-    if len(set(model.labels)) != model.n_nodes:
-        raise ValueError("node labels must be unique")
+    check_labels(model.labels, model.n_nodes)
 
 
 @dataclass(frozen=True, eq=False)

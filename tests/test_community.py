@@ -249,3 +249,21 @@ def test_spectral_cluster_is_deterministic():
     b = spectral_cluster(g)
     assert a.k == b.k
     assert np.array_equal(a.assignments, b.assignments)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpectralConfig(k_max=0), "k_max must be at least 1"),
+    (lambda: SpectralConfig(k_fixed=0), "k_fixed must be at least 1"),
+    (lambda: SpectralConfig(kmeans_max_iters=0), "kmeans_max_iters must be at least 1"),
+    (lambda: kmeans([0.0, 1.0], 1), "points must be a 2-D array"),
+    (lambda: kmeans([[0.0], [1.0]], 1, restarts=0), "restarts and max_iters must be at least 1"),
+    (lambda: symmetric_eigendecomposition(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: symmetric_eigendecomposition([[0.0, 1.0], [0.0, 0.0]]),
+     "matrix is not symmetric within 1e-10"),
+    (lambda: Partition.from_assignments(Graph(0), []), "cannot partition an empty graph"),
+], ids=["k-max-0", "k-fixed-0", "max-iters-0", "one-dimensional-points", "no-restarts",
+        "non-square-matrix", "asymmetric-matrix", "empty-graph-partition"])
+def test_refusals_raise_their_class_and_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

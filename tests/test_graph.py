@@ -21,7 +21,7 @@ from contactnet import (
     write_edge_list,
 )
 import contactnet.graph as graph_module
-from contactnet.graph import MAX_NODES, _triangles_per_node
+from contactnet.graph import MAX_NODES
 from dense import dense_adjacency
 
 
@@ -330,8 +330,32 @@ def _triangle_cases():
     yield Graph(6)
 
 
+def test_graph_is_frozen_and_counts_its_triangles_once():
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(AttributeError):
+        g.n_nodes = 5
+    assert g.triangles is g.triangles and not g.triangles.flags.writeable
+    assert g.triangles.tolist() == [1, 1, 1, 0]
+
+
 @pytest.mark.parametrize("block", [graph_module.WEDGE_BLOCK, 1, 7])
 def test_triangles_match_brute_force(block, monkeypatch):
     monkeypatch.setattr(graph_module, "WEDGE_BLOCK", block)
     for g in _triangle_cases():
-        assert np.array_equal(_triangles_per_node(g), _brute_force_triangles(g)), g
+        assert np.array_equal(g.triangles, _brute_force_triangles(g)), g
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(-1), ValueError, "n_nodes must be nonnegative"),
+    (lambda: Graph(3, [[0, 1, 2]]), ValueError, "edges must be pairs of node indices"),
+    (lambda: Graph(3).neighbors(5), ValueError, "node index 5 out of range"),
+    (lambda: Graph(2, labels=("a",)), ValueError, "label count must equal n_nodes"),
+    (lambda: Graph(2, labels=("a", "a")), ValueError, "node labels must be unique"),
+    (lambda: load_edge_list(["%N 3 4\n"]), ParseError,
+     "line 1: header needs exactly one count, got 2 tokens"),
+], ids=["negative-node-count", "triple-edge", "neighbors-out-of-range", "one-label-for-two",
+        "repeated-label", "two-count-header"])
+def test_refusals_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -91,7 +91,9 @@ def test_defaults_match_protocol():
 def test_model_spec_validation():
     assert ModelSpec("er").name == "er"
     assert ModelSpec("sbm", name="blocks").name == "blocks"
-    for bad_name in ("actual", ".", "..", "a/b", "a\\b"):
+    # curves_<name>.csv must fit the 255-byte file name limit, counted in bytes
+    assert ModelSpec("er", name="x" * 244).name == "x" * 244
+    for bad_name in ("actual", ".", "..", "a/b", "a\\b", "a\0b", "x" * 300, "\u00e9" * 123):
         with pytest.raises(ValueError):
             ModelSpec("er", name=bad_name)
     with pytest.raises(ValueError):
@@ -570,6 +572,8 @@ def test_cli_sample_unwritable_label_creates_nothing(tmp_path, capsys):
     {"models": [{"variant": "er", "name": 3}]},
     {"models": [{"variant": "er", "name": "../x"}]},
     {"models": [{"variant": "er", "name": "a/b"}]},
+    {"models": [{"variant": "er", "name": "a\u0000b"}]},
+    {"models": [{"variant": "er", "name": "x" * 300}]},
     {"models": [{"variant": "er", "name": "actual"}], "save_trajectories": True},
     {"models": [{"variant": "er", "name": "actual.csv"}], "save_trajectories": True},
     {"output_dir": 5},
@@ -1055,3 +1059,28 @@ def test_benchmark_trace_hooks_see_every_layer(dataset, tmp_path):
     assert not missing
     # one entry per epidemic: 3 on the actual graph, 2 x 2 for each of the 4 models
     assert len(trace["results"].get("sir.simulate", {}).get("run_steps", ())) == 3 + 4 * 2 * 2
+
+
+def test_benchmark_workload_outputs_match_the_baseline_digests(tmp_path, monkeypatch):
+    # every output byte of the benchmark's three default-seed experiments is pinned
+    # by perfbench/baseline.json; the bytes depend on the numpy build, the CPU
+    # count and the BLAS thread settings they were recorded with
+    with open(os.path.join(PERFBENCH_DIR, "baseline.json"), encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    recorded = baseline["environment"]
+    here = {"numpy": np.__version__, "nproc": len(os.sched_getaffinity(0)),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+    if any(recorded[key] != value for key, value in here.items()):
+        pytest.skip(f"the baseline digests were recorded under {recorded}")
+    monkeypatch.syspath_prepend(PERFBENCH_DIR)  # run.py imports its workloads module
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(PERFBENCH_DIR, "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.chdir(tmp_path)
+    for name, workload in bench.WORKLOADS.items():
+        inputs = bench.write_inputs(workload, bench.DEFAULT_SEED, tmp_path)
+        run_experiment(load_config(inputs["config"]))
+        digests = bench.output_digests(tmp_path / inputs["output_dir"])
+        assert digests == baseline["workloads"][name]["digests"], name

@@ -195,3 +195,23 @@ def test_curves_csv_rejects_malformed_input():
                          "2,1.0,0.0,0.0"])
     with pytest.raises(ParseError, match="^line 3: malformed curve row$"):
         read_curves_csv(["# population=4 n_runs=1", "t,s,i,r", "0,one,0.0,0.0"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: read_curves_csv(["# population=3 n_runs=2", "t,s,i,r,x", "0,1,0,0,0"]),
+     ParseError, "line 2: expected column header t,s,i,r"),
+    (lambda: read_curves_csv(["# population=x n_runs=2", "t,s,i,r", "0,1,0,0"]),
+     ParseError, "line 1: header must carry integer population= and n_runs="),
+    (lambda: MeanCurves(np.ones((2, 3)), 1, 3), ValueError,
+     "fractions must be 3 rows (S, I, R) of a positive length"),
+    (lambda: curves([1.0], [0.0], [0.0], population=0), ValueError,
+     "population must be positive"),
+    (lambda: curves([1.5], [0.0], [0.0]), ValueError,
+     "curve entries must be fractions in [0, 1]"),
+    (lambda: QualityRow("er", -1.0, 0.0, 1), ValueError, "area must be nonnegative"),
+], ids=["extra-curve-column", "non-integer-population", "two-rows", "no-population",
+        "entry-above-one", "negative-area"])
+def test_refusals_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -514,3 +514,30 @@ def test_log_likelihood_matches_the_reference_bit_for_bit(n):
         model = ErModel(n, tuple(map(str, range(n))), p)
         assert log_likelihood_per_pair(model, g) == -math.inf
         assert reference_log_likelihood_per_pair(model, g) == -math.inf
+
+
+_IDENTITY_RATES = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_likelihood_per_pair(ErModel(3, ("a", "b", "c"), 0.5), Graph(2)),
+     "model and graph disagree on the node count"),
+    (lambda: log_likelihood_per_pair(ErModel(1, ("a",), 0.5), Graph(1)),
+     "log-likelihood per pair needs at least 2 nodes"),
+    (lambda: ErModel(0, (), 0.5), "model needs at least one node"),
+    (lambda: ErModel(2, ("a", "a"), 0.5), "node labels must be unique"),
+    (lambda: SbmModel(2, ("a", "b"), [0, 1], 2, [[0.5, 0.5]]), "block_probs must be k x k"),
+    (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0], _IDENTITY_RATES, "exact"),
+     "degree_share must be a nonnegative vector of length n_nodes"),
+    (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]],
+                        "exact"),
+     "block_rates must be a symmetric nonnegative k x k matrix"),
+    (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0, 1.0], _IDENTITY_RATES, "fast"),
+     "unknown dcsbm mode 'fast'"),
+], ids=["node-counts-disagree", "one-node-likelihood", "no-nodes", "repeated-label",
+        "block-probs-not-k-by-k", "short-degree-share", "asymmetric-block-rates",
+        "unknown-dcsbm-mode"])
+def test_refusals_raise_their_class_and_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

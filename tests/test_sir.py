@@ -268,3 +268,17 @@ def test_simulation_means_approach_exact_solution():
             for r in range(20000)]
     mean = counts_to_curves(np.sum(runs, axis=0), len(runs), g.n_nodes)
     assert np.allclose(mean.fractions, exact.fractions, atol=0.02)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate_sir(Graph(3), SirParams(), 0, initial_nodes=[99]),
+     "initial node index out of range"),
+    (lambda: exact_sir_expected_curves(Graph(0), SirParams(steps=2), []),
+     "oracle needs at least one node"),
+    (lambda: exact_sir_expected_curves(Graph(3), SirParams(steps=2), [9]),
+     "initial node index out of range"),
+], ids=["simulate-initial-node-99", "oracle-no-nodes", "oracle-initial-node-9"])
+def test_refusals_raise_their_class_and_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
