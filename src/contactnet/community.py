@@ -213,11 +213,12 @@ def _kmeans_once(points: np.ndarray, k: int, max_iters: int, rng: np.random.Gene
     return assign, wcss
 
 
-def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, rng=None) -> np.ndarray:
+def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, *, rng) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding; best of `restarts` runs by WCSS.
 
-    Deterministic given the rng seed: restart r draws from a stream derived
-    from (seed, r), and ties in WCSS go to the earlier restart.
+    Deterministic given `rng`, a Generator or a seed, which is required:
+    restart r draws from a stream derived from (seed, r), and ties in WCSS go
+    to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:

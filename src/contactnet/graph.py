@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n_nodes, numbers.Integral) or isinstance(self.n_nodes, bool):
+            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
         n_nodes = int(self.n_nodes)
         if n_nodes < 0:
             raise ValueError("n_nodes must be nonnegative")

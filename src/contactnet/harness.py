@@ -330,10 +330,13 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
         spec.spectral for spec in config.models if spec.variant in BLOCK_VARIANTS)}
     models = [fit_model(g, spec, partitions.get(spec.spectral)) for spec in config.models]
 
-    # each ensemble writes its runs' counts under here while it runs
+    # an output_dir that cannot be a directory fails here, before any epidemic runs;
+    # each ensemble writes its runs' counts under trajectory_dir while it runs
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     trajectory_dir = None
     if config.save_trajectories:
-        trajectory_dir = Path(config.output_dir) / "trajectories"
+        trajectory_dir = out / "trajectories"
         for spec in config.models:
             (trajectory_dir / spec.name).mkdir(parents=True, exist_ok=True)
     actual_totals = simulate_ensemble(
@@ -368,8 +371,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsReport:
 
 
 def write_artifacts(report: ResultsReport, config: ExperimentConfig) -> None:
+    """Write the report files into config.output_dir, which run_experiment has made."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         write_json(report.to_json_dict(), fh)
     with open(out / "quality_table.txt", "w", encoding="utf-8") as fh:

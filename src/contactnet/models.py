@@ -27,12 +27,22 @@ DEGREE_MODES = ("exact_sum", "chung_lu")
 DCSBM_MODES = ("exact", "plugin")
 
 
+@dataclass(frozen=True, eq=False)
 class EdgeProbabilityModel:
-    """Behavior shared by all variants. Each states its formula in `_rows()`, which
-    returns row(i): the raw values of the pairs (i, j) for j > i, in ascending j.
+    """Fields and behavior shared by all variants. Each variant declares its own
+    parameters after `n_nodes` and `labels`, and states its formula in `_rows()`,
+    which returns row(i): the raw values of the pairs (i, j) for j > i, in ascending j.
     The rows fill one cached vector of the pairs i < j, which samples and likelihoods read."""
 
+    n_nodes: int
+    labels: tuple[str, ...]
+
     variant = ""
+
+    def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ValueError("model needs at least one node")
+        check_labels(self.labels, self.n_nodes)
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities of the pairs i < j in lexicographic order (read-only, cached)."""
@@ -91,22 +101,14 @@ def _freeze_array(model, name: str, integer: bool = False) -> None:
     raise ValueError(f"{name} must hold only {'integers' if integer else 'finite numbers'}")
 
 
-def _validate_common(model) -> None:
-    if model.n_nodes < 1:
-        raise ValueError("model needs at least one node")
-    check_labels(model.labels, model.n_nodes)
-
-
 @dataclass(frozen=True, eq=False)
 class ErModel(EdgeProbabilityModel):
-    n_nodes: int
-    labels: tuple[str, ...]
     p: float
 
     variant = "er"
 
     def __post_init__(self):
-        _validate_common(self)
+        super().__post_init__()
         object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
@@ -122,8 +124,6 @@ class ErModel(EdgeProbabilityModel):
 class DegreeModel(EdgeProbabilityModel):
     """p(i, j) = min(1, scale * d_i * d_j) for the observed degree vector d."""
 
-    n_nodes: int
-    labels: tuple[str, ...]
     scale: float
     degrees: np.ndarray
     mode: str
@@ -131,7 +131,7 @@ class DegreeModel(EdgeProbabilityModel):
     variant = "degree"
 
     def __post_init__(self):
-        _validate_common(self)
+        super().__post_init__()
         object.__setattr__(self, "scale", float(self.scale))
         _freeze_array(self, "degrees", integer=True)
         if self.degrees.shape != (self.n_nodes,) or self.degrees.min() < 0:
@@ -153,8 +153,6 @@ class DegreeModel(EdgeProbabilityModel):
 class SbmModel(EdgeProbabilityModel):
     """p(i, j) = block_probs[c_i, c_j] for community assignments c."""
 
-    n_nodes: int
-    labels: tuple[str, ...]
     assignments: np.ndarray
     k: int
     block_probs: np.ndarray
@@ -162,7 +160,7 @@ class SbmModel(EdgeProbabilityModel):
     variant = "sbm"
 
     def __post_init__(self):
-        _validate_common(self)
+        super().__post_init__()
         _freeze_array(self, "assignments", integer=True)
         _freeze_array(self, "block_probs")
         check_assignments(self.assignments, self.k, self.n_nodes)
@@ -190,8 +188,6 @@ class DcsbmModel(EdgeProbabilityModel):
     normalized so expected block edge counts match the observed ones).
     """
 
-    n_nodes: int
-    labels: tuple[str, ...]
     assignments: np.ndarray
     k: int
     degree_share: np.ndarray
@@ -201,7 +197,7 @@ class DcsbmModel(EdgeProbabilityModel):
     variant = "dcsbm"
 
     def __post_init__(self):
-        _validate_common(self)
+        super().__post_init__()
         _freeze_array(self, "assignments", integer=True)
         _freeze_array(self, "degree_share")
         _freeze_array(self, "block_rates")

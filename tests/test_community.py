@@ -147,12 +147,19 @@ def test_kmeans_recovers_separated_blobs():
 
 def test_kmeans_degenerate_k():
     points = np.arange(10, dtype=float).reshape(5, 2)
-    assert set(kmeans(points, 1)) == {0}
-    assert sorted(kmeans(points, 5)) == [0, 1, 2, 3, 4]
+    assert set(kmeans(points, 1, rng=0)) == {0}
+    assert sorted(kmeans(points, 5, rng=0)) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
-        kmeans(points, 6)
+        kmeans(points, 6, rng=0)
     with pytest.raises(ValueError):
-        kmeans(points, 0)
+        kmeans(points, 0, rng=0)
+
+
+def test_kmeans_needs_an_rng():
+    # every stream derives from a seed: an omitted rng is not OS entropy
+    points = np.arange(10, dtype=float).reshape(5, 2)
+    with pytest.raises(TypeError):
+        kmeans(points, 2)
 
 
 def test_kmeans_is_deterministic_per_seed():
@@ -255,8 +262,9 @@ def test_spectral_cluster_is_deterministic():
     (lambda: SpectralConfig(k_max=0), "k_max must be at least 1"),
     (lambda: SpectralConfig(k_fixed=0), "k_fixed must be at least 1"),
     (lambda: SpectralConfig(kmeans_max_iters=0), "kmeans_max_iters must be at least 1"),
-    (lambda: kmeans([0.0, 1.0], 1), "points must be a 2-D array"),
-    (lambda: kmeans([[0.0], [1.0]], 1, restarts=0), "restarts and max_iters must be at least 1"),
+    (lambda: kmeans([0.0, 1.0], 1, rng=0), "points must be a 2-D array"),
+    (lambda: kmeans([[0.0], [1.0]], 1, restarts=0, rng=0),
+     "restarts and max_iters must be at least 1"),
     (lambda: symmetric_eigendecomposition(np.zeros((2, 3))), "matrix must be square"),
     (lambda: symmetric_eigendecomposition([[0.0, 1.0], [0.0, 0.0]]),
      "matrix is not symmetric within 1e-10"),

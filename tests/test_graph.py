@@ -345,15 +345,24 @@ def test_triangles_match_brute_force(block, monkeypatch):
         assert np.array_equal(g.triangles, _brute_force_triangles(g)), g
 
 
+def test_graph_accepts_numpy_integer_node_counts():
+    g = Graph(np.int64(3), [(0, 2)])
+    assert type(g.n_nodes) is int and g.n_nodes == 3
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Graph(-1), ValueError, "n_nodes must be nonnegative"),
+    (lambda: Graph(3.7), ValueError, "n_nodes must be an integer, got 3.7"),
+    (lambda: Graph(True), ValueError, "n_nodes must be an integer, got True"),
+    (lambda: Graph("5"), ValueError, "n_nodes must be an integer, got '5'"),
     (lambda: Graph(3, [[0, 1, 2]]), ValueError, "edges must be pairs of node indices"),
     (lambda: Graph(3).neighbors(5), ValueError, "node index 5 out of range"),
     (lambda: Graph(2, labels=("a",)), ValueError, "label count must equal n_nodes"),
     (lambda: Graph(2, labels=("a", "a")), ValueError, "node labels must be unique"),
     (lambda: load_edge_list(["%N 3 4\n"]), ParseError,
      "line 1: header needs exactly one count, got 2 tokens"),
-], ids=["negative-node-count", "triple-edge", "neighbors-out-of-range", "one-label-for-two",
+], ids=["negative-node-count", "float-node-count", "bool-node-count", "string-node-count",
+        "triple-edge", "neighbors-out-of-range", "one-label-for-two",
         "repeated-label", "two-count-header"])
 def test_refusals_raise_their_class_and_message(call, error, message):
     with pytest.raises(error) as info:
