@@ -216,9 +216,9 @@ def _kmeans_once(points: np.ndarray, k: int, max_iters: int, rng: np.random.Gene
 def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, *, rng) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding; best of `restarts` runs by WCSS.
 
-    Deterministic given `rng`, a Generator or a seed, which is required:
-    restart r draws from a stream derived from (seed, r), and ties in WCSS go
-    to the earlier restart.
+    Deterministic given `rng`, a Generator or a seed, which is required; None
+    is refused, as it would draw from OS entropy. Restart r draws from a
+    stream derived from (seed, r), and ties in WCSS go to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -227,6 +227,8 @@ def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, *, rng) -> 
         raise ValueError("k must be between 1 and the number of points")
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be at least 1")
+    if rng is None:
+        raise TypeError("kmeans needs an rng: None would draw from OS entropy")
     rng = np.random.default_rng(rng)
     best_assign = None
     best_wcss = np.inf

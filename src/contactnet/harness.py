@@ -232,13 +232,16 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, traject
         raise ValueError("seeds must be nonnegative")
     check_runnable(g, params)
     totals = np.zeros((3, params.steps + 1), dtype=np.int64)
+    # row views, so that each run adds its three rows without stacking them first
+    sums = tuple(totals)
     with nullcontext() if trajectories is None else open(
             trajectories, "w", encoding="utf-8") as out:
         if out is not None:
             out.write(TRAJECTORY_HEADER)
         for r in range(runs):
             traj = simulate_sir(g, params, derived_rng(*seed_path, r))
-            totals += traj
+            for total, row in zip(sums, traj):
+                total += row
             if out is not None:
                 write_trajectory_rows(out, r, traj)
     return totals

@@ -40,6 +40,8 @@ class EdgeProbabilityModel:
     variant = ""
 
     def __post_init__(self):
+        if not isinstance(self.n_nodes, numbers.Integral) or isinstance(self.n_nodes, bool):
+            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 1:
             raise ValueError("model needs at least one node")
         check_labels(self.labels, self.n_nodes)

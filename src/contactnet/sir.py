@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +58,22 @@ def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
         if init.size and (init.min() < 0 or init.max() >= n):
             raise ValueError("initial node index out of range")
         return init
+    if params.initial_infectious == 1:
+        # the bounded draw choice(n, 1, replace=False) makes, from the same bits,
+        # at a fifth of its cost; a numpy scalar has .size and indexes like an array
+        return rng.integers(n)
     return rng.choice(n, size=params.initial_infectious, replace=False)
+
+
+# typed: a beta of another numeric type that compares equal (a float32, say)
+# computes its own table, in its own arithmetic
+@lru_cache(maxsize=64, typed=True)
+def _infection_table(beta, max_degree: int) -> np.ndarray:
+    """Infection probability by number of infectious neighbours, 0 .. max_degree
+    (entry 0 is 0), shared read-only by every run with this beta and degree bound."""
+    table = 1.0 - (1.0 - beta) ** np.arange(max_degree + 1)
+    table.setflags(write=False)
+    return table
 
 
 def check_runnable(g: Graph, params: SirParams, initial_nodes=None) -> None:
@@ -75,7 +91,8 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     The initial infectious set is drawn uniformly without replacement unless
     initial_nodes pins it. Stream contract: the run draws one
     `rng.choice(n, initial_infectious, replace=False)` for the seeds (none when
-    initial_nodes is given), then 2n uniforms per transition from one
+    initial_nodes is given; one seed is drawn as `rng.integers(n)`, the same
+    draw from the same bits), then 2n uniforms per transition from one
     `rng.random` call. The first n decide infection and the last n recovery,
     both in node-index order. Nothing is drawn once no node is infectious. So
     the trajectory is a pure function of (g, params, seed).
@@ -97,20 +114,18 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     # rows S, I and R; R follows from S and I once the run ends
     counts = np.empty((3, steps + 1), dtype=np.int64)
     s_counts, i_counts, r_counts = counts
-    s_now, i_now = n - len(init), len(init)
+    s_now, i_now = n - init.size, init.size
     s_counts[0], i_counts[0] = s_now, i_now
 
     tails, heads = g.arcs
-    # infection probability by number of infectious neighbours; entry 0 is 0
-    p_by_contacts = 1.0 - (1.0 - params.infection_probability) ** np.arange(
-        int(g.degrees.max()) + 1
-    )
+    p_by_contacts = _infection_table(params.infection_probability, int(g.degrees.max()))
     # rates[:n] is rebuilt from the contacts; rates[n:] stays gamma. Masked by
     # state they give the thresholds; 0 never fires, as draws lie in [0, 1)
     rates = np.full(2 * n, params.recovery_probability)
     threshold = np.empty(2 * n)
     draws = np.empty(2 * n)
     fired = np.empty(2 * n, dtype=bool)
+    infected_now = fired[:n]
     moved = True
 
     for t in range(steps):
@@ -128,11 +143,11 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
         np.less(draws, threshold, out=fired)
         moved = np.count_nonzero(fired)
         if moved:
-            infected = np.count_nonzero(fired[:n])
+            infected = np.count_nonzero(infected_now)
             s_now -= infected
             i_now += infected - (moved - infected)
             state ^= fired  # infected leave S, recovered leave I
-            infectious |= fired[:n]
+            infectious |= infected_now
         s_counts[t + 1] = s_now
         i_counts[t + 1] = i_now
     r_counts[:] = n - s_counts - i_counts
@@ -142,10 +157,35 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
 TRAJECTORY_HEADER = "run,t,S,I,R\n"
 
 
+_ROW = "{},{},{},{},{}\n".format
+
+
+# one entry: an ensemble's runs share their length, and the strings of a long
+# run are not kept past the next length
+@lru_cache(maxsize=1)
+def _t_strings(length: int) -> tuple[str, ...]:
+    return tuple(map(str, range(length)))
+
+
 def write_trajectory_rows(stream, run: int, traj: Trajectory) -> None:
-    """Write one run's counts as the run,t,S,I,R rows under TRAJECTORY_HEADER."""
-    counts = zip(*(row.tolist() for row in traj))
-    stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
+    """Write one run's counts as the run,t,S,I,R rows under TRAJECTORY_HEADER,
+    in one write.
+
+    The rows that repeat the last row's S, I and R to the end (an absorbed
+    epidemic's tail, where only t changes) are written in one join.
+    """
+    s_list, i_list, r_list = (row.tolist() for row in traj)
+    end = tail = len(s_list)
+    if end:
+        tail -= 1
+        s, i, r = s_list[tail], i_list[tail], r_list[tail]
+        while tail and s_list[tail - 1] == s and i_list[tail - 1] == i and r_list[tail - 1] == r:
+            tail -= 1
+    text = "".join(map(_ROW, itertools.repeat(run, tail), range(tail), s_list, i_list, r_list))
+    if tail < end:
+        prefix, suffix = f"{run},", f",{s},{i},{r}\n"
+        text += prefix + (suffix + prefix).join(_t_strings(end)[tail:]) + suffix
+    stream.write(text)
 
 
 # ---------------------------------------------------------------------------

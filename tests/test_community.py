@@ -156,10 +156,12 @@ def test_kmeans_degenerate_k():
 
 
 def test_kmeans_needs_an_rng():
-    # every stream derives from a seed: an omitted rng is not OS entropy
+    # every stream derives from a seed: an omitted or None rng is not OS entropy
     points = np.arange(10, dtype=float).reshape(5, 2)
     with pytest.raises(TypeError):
         kmeans(points, 2)
+    with pytest.raises(TypeError, match="kmeans needs an rng"):
+        kmeans(points, 2, rng=None)
 
 
 def test_kmeans_is_deterministic_per_seed():

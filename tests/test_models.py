@@ -525,6 +525,8 @@ _IDENTITY_RATES = [[1.0, 0.0], [0.0, 1.0]]
     (lambda: log_likelihood_per_pair(ErModel(1, ("a",), 0.5), Graph(1)),
      "log-likelihood per pair needs at least 2 nodes"),
     (lambda: ErModel(0, (), 0.5), "model needs at least one node"),
+    (lambda: ErModel(3.0, ("a", "b", "c"), 0.5), "n_nodes must be an integer, got 3.0"),
+    (lambda: ErModel(True, ("a",), 0.5), "n_nodes must be an integer, got True"),
     (lambda: ErModel(2, ("a", "a"), 0.5), "node labels must be unique"),
     (lambda: SbmModel(2, ("a", "b"), [0, 1], 2, [[0.5, 0.5]]), "block_probs must be k x k"),
     (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0], _IDENTITY_RATES, "exact"),
@@ -534,7 +536,8 @@ _IDENTITY_RATES = [[1.0, 0.0], [0.0, 1.0]]
      "block_rates must be a symmetric nonnegative k x k matrix"),
     (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0, 1.0], _IDENTITY_RATES, "fast"),
      "unknown dcsbm mode 'fast'"),
-], ids=["node-counts-disagree", "one-node-likelihood", "no-nodes", "repeated-label",
+], ids=["node-counts-disagree", "one-node-likelihood", "no-nodes", "float-node-count",
+        "boolean-node-count", "repeated-label",
         "block-probs-not-k-by-k", "short-degree-share", "asymmetric-block-rates",
         "unknown-dcsbm-mode"])
 def test_refusals_raise_their_class_and_message(call, message):

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactnet import (
     ConfigError,
@@ -155,6 +156,44 @@ def test_trajectory_csv_text():
     assert buf.getvalue() == (
         "run,t,S,I,R\n0,0,2,1,0\n1,0,2,1,0\n1,1,1,1,1\n1,2,1,0,2\n"
     )
+
+
+def _reference_trajectory_rows(stream, run, traj):
+    """The row-by-row formatter write_trajectory_rows must match byte for byte."""
+    counts = zip(*(row.tolist() for row in traj))
+    stream.write("".join(f"{run},{t},{s},{i},{r}\n" for t, (s, i, r) in enumerate(counts)))
+
+
+# small values repeat often, so some rows match the last one in S alone, or in S and I
+_COUNT = st.integers(0, 3) | st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trajectory_rows_match_the_row_by_row_formatter(data):
+    ours, theirs = io.StringIO(), io.StringIO()
+    for _ in range(data.draw(st.integers(1, 3))):
+        length = data.draw(st.integers(1, 40))
+        row = st.lists(_COUNT, min_size=length, max_size=length)
+        counts = np.array(data.draw(st.lists(row, min_size=3, max_size=3)), dtype=np.int64)
+        # the last `repeated` rows repeat one row, as after an epidemic is absorbed
+        repeated = data.draw(st.integers(0, length))
+        if repeated:
+            counts[:, length - repeated:] = counts[:, [length - repeated]]
+        run = data.draw(st.integers(0, 10 ** 9))
+        write_trajectory_rows(ours, run, Trajectory(*counts))
+        _reference_trajectory_rows(theirs, run, Trajectory(*counts))
+    assert ours.getvalue() == theirs.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, 201, 1200, 10_001, 20_000])
+def test_one_seed_is_drawn_as_integers_the_same_draw_as_choice(n):
+    # simulate_sir draws a single initial node as integers(n): the value and the
+    # stream position after it must stay those of choice(n, 1, replace=False)
+    for seed in range(1000):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ours.integers(n) == theirs.choice(n, 1, replace=False)[0]
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _reference_sir_counts(g, params, rng, initial_nodes=None):
