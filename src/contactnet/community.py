@@ -10,21 +10,27 @@ import numpy as np
 
 from .errors import FitError, NumericError
 from .graph import Graph
+from .schema import integer, read_array
 
 SYMMETRY_TOL = 1e-10
 ZERO_ROW_TOL = 1e-12
 EIGENVALUE_ORDERS = ("abs", "value")
 
 
-def check_assignments(assign: np.ndarray, k: int, n: int) -> None:
-    """Refuse `assign` unless it is a non-empty vector of n community labels in
-    0..k-1 that uses every label."""
-    if assign.shape != (n,) or n == 0:
-        raise ValueError("assignments must be a non-empty vector of one label per node")
+def read_assignments(assignments, k, n_nodes: int | None = None) -> tuple[np.ndarray, int]:
+    """`assignments` as a read-only int64 copy and `k` as an int: a non-empty vector
+    of integer labels in 0..k-1 using every label, of length `n_nodes` if given."""
+    assign = read_array(assignments, "community labels must be integers", integer=True)
+    k = integer(k, "k")
+    if assign.ndim != 1 or (n_nodes is not None and assign.size != n_nodes):
+        raise ValueError("assignments must be a vector of one label per node")
+    if assign.size == 0:
+        raise ValueError("cannot partition an empty graph")
     if k < 1 or assign.min() < 0 or assign.max() >= k:
         raise ValueError("community index out of range")
     if len(np.unique(assign)) != k:
         raise ValueError("every community must be non-empty")
+    return assign, k
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,21 +46,10 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        # a copy, so freezing it leaves the caller's array writable
-        assign = np.array(self.assignments, dtype=np.int64)
-        check_assignments(assign, self.k, assign.size)
-        assign.setflags(write=False)
+        # a read-only copy, so the caller's array stays writable
+        assign, k = read_assignments(self.assignments, self.k)
         object.__setattr__(self, "assignments", assign)
-
-    @classmethod
-    def from_assignments(cls, g: Graph, assignments) -> "Partition":
-        """The partition of graph g's nodes by `assignments`, k inferred from its labels."""
-        assign = np.asarray(assignments, dtype=np.int64)
-        if assign.shape != (g.n_nodes,):
-            raise ValueError("assignment vector length must equal the node count")
-        if g.n_nodes == 0:
-            raise ValueError("cannot partition an empty graph")
-        return cls(assign, int(assign.max()) + 1)
+        object.__setattr__(self, "k", k)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -111,16 +106,10 @@ class SpectralConfig:
             math.isfinite(self.regularization) and self.regularization >= 0
         ):
             raise ValueError("regularization must be finite and nonnegative")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.k_fixed is not None and self.k_fixed < 1:
-            raise ValueError("k_fixed must be at least 1")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be at least 1")
-        if self.kmeans_max_iters < 1:
-            raise ValueError("kmeans_max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name in ("k_max", "k_fixed", "kmeans_restarts", "kmeans_max_iters", "seed"):
+            value = getattr(self, name)
+            if value is not None or name not in ("k_max", "k_fixed"):
+                object.__setattr__(self, name, integer(value, name, 0 if name == "seed" else 1))
         if self.eigenvalue_order not in EIGENVALUE_ORDERS:
             raise ValueError(f"unknown eigenvalue_order {self.eigenvalue_order!r}")
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParseError, UndefinedStatisticError
+from .schema import integer, read_array
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 _HEADER_TAG = "%N"
@@ -48,21 +48,15 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_nodes, numbers.Integral) or isinstance(self.n_nodes, bool):
-            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
-        n_nodes = int(self.n_nodes)
-        if n_nodes < 0:
-            raise ValueError("n_nodes must be nonnegative")
+        n_nodes = integer(self.n_nodes, "n_nodes", 0)
         if n_nodes > MAX_NODES:
             raise ValueError(f"n_nodes must be at most {MAX_NODES}")
-        arr = np.asarray(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges))
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        arr = read_array(edges, "edge endpoints must be integers", integer=True)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs of node indices")
-        if not np.issubdtype(arr.dtype, np.integer):  # no rounding, bools or digit strings
-            raise ValueError(f"edge endpoints must be integers, got {arr.dtype} values")
-        arr = arr.astype(np.int64, copy=False)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n_nodes:
                 raise ValueError("edge endpoint out of range")
@@ -79,7 +73,7 @@ class Graph:
         if self.labels is None:
             labels = tuple(str(i) for i in range(n_nodes))
         else:
-            labels = tuple(str(x) for x in self.labels)
+            labels = tuple(map(str, self.labels))
             check_labels(labels, n_nodes)
 
         object.__setattr__(self, "n_nodes", n_nodes)
@@ -153,6 +147,7 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of node i, a read-only view."""
+        i = integer(i, "node index")
         if not 0 <= i < self.n_nodes:
             raise ValueError(f"node index {i} out of range")
         tails, heads = self.arcs
@@ -225,15 +220,18 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
                 f"header declares {declared} nodes but {len(labels)} distinct labels appear",
                 declared_line,
             )
-        # pad isolated nodes with synthetic labels that cannot collide
+        # pad isolated nodes with labels str(i), underscored until no file label
+        # equals them (padded labels never collide: "_" * m + str(i) is unique to i)
+        start = len(labels)
+        padding = list(map(str, range(start, declared)))
         taken = set(labels)
-        for i in range(len(labels), declared):
-            name = str(i)
-            while name in taken:
-                name = "_" + name
-            labels.append(name)
-            taken.add(name)
-    return Graph(len(labels), edges, labels=tuple(labels))
+        for name in taken.intersection(padding):
+            padded = name
+            while padded in taken:
+                padded = "_" + padded
+            padding[int(name) - start] = padded
+        labels += padding
+    return Graph(len(labels), np.array(edges, dtype=np.int64), labels=tuple(labels))
 
 
 def check_edge_list_labels(labels) -> None:
@@ -300,7 +298,7 @@ def load_contacts(lines: Iterable[str]) -> Graph:
         if a == b:
             raise ParseError(f"contact joins node {a!r} to itself", lineno)
         edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-    return Graph(len(index), edges, labels=tuple(index))
+    return Graph(len(index), np.array(edges, dtype=np.int64), labels=tuple(index))
 
 
 def load_attendance(lines: Iterable[str]) -> Graph:
@@ -310,7 +308,7 @@ def load_attendance(lines: Iterable[str]) -> Graph:
     for _, (event, person) in _read_csv_rows(lines, ("event_id", "person")):
         events.setdefault(event, {})[index.setdefault(person, len(index))] = None
     edges = [pair for attendees in events.values() for pair in combinations(attendees, 2)]
-    return Graph(len(index), edges, labels=tuple(index))
+    return Graph(len(index), np.array(edges, dtype=np.int64), labels=tuple(index))
 
 
 # the dataset formats, each read from text lines straight into a Graph

@@ -50,7 +50,7 @@ from .models import (
     log_likelihood_per_pair,
     sample_graph,
 )
-from .schema import from_json, to_json, write_json
+from .schema import from_json, integer, to_json, write_json
 from .seeding import derived_rng
 from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, write_trajectory_rows
 
@@ -114,8 +114,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be at least 1")
+            object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name, 1))
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,7 @@ class ExperimentConfig:
         if self.save_trajectories and "actual.csv" in names:
             raise ValueError("model name 'actual.csv' collides with the actual-graph "
                              "trajectory file; rename the model")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        object.__setattr__(self, "master_seed", integer(self.master_seed, "master_seed", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .community import Partition, block_counts, check_assignments
+from .community import Partition, block_counts, read_assignments
 from .errors import FitError, NumericError, ParseError
 from .graph import Graph, check_labels
-from .schema import from_json, to_json, write_json
+from .schema import from_json, integer, read_array, to_json, write_json
 
 DEGREE_SUM_TOL = 1e-9
 DEGREE_MODES = ("exact_sum", "chung_lu")
@@ -40,11 +39,15 @@ class EdgeProbabilityModel:
     variant = ""
 
     def __post_init__(self):
-        if not isinstance(self.n_nodes, numbers.Integral) or isinstance(self.n_nodes, bool):
-            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
+        self._set(n_nodes=integer(self.n_nodes, "n_nodes"))
         if self.n_nodes < 1:
             raise ValueError("model needs at least one node")
         check_labels(self.labels, self.n_nodes)
+
+    def _set(self, **values) -> None:
+        """Replace fields of this frozen instance by their checked values."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities of the pairs i < j in lexicographic order (read-only, cached)."""
@@ -85,24 +88,6 @@ def _pair_vector(n: int, row) -> np.ndarray:
     return out
 
 
-def _freeze_array(model, name: str, integer: bool = False) -> None:
-    """Replace field `name` by a read-only array after checking that every
-    element is an integer (or, unless `integer`, a finite number). Booleans,
-    strings, nulls and ragged nesting are refused."""
-    kind = numbers.Integral if integer else numbers.Real
-    try:
-        items = np.array(getattr(model, name), dtype=object)
-        if all(issubclass(t, kind) and t is not bool for t in set(map(type, items.flat))):
-            out = items.astype(np.int64 if integer else float)
-            if np.all(np.isfinite(out)):
-                out.setflags(write=False)
-                object.__setattr__(model, name, out)
-                return
-    except (ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must hold only {'integers' if integer else 'finite numbers'}")
-
-
 @dataclass(frozen=True, eq=False)
 class ErModel(EdgeProbabilityModel):
     p: float
@@ -111,7 +96,7 @@ class ErModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "p", float(self.p))
+        self._set(p=float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
 
@@ -134,8 +119,8 @@ class DegreeModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "scale", float(self.scale))
-        _freeze_array(self, "degrees", integer=True)
+        self._set(scale=float(self.scale), degrees=read_array(
+            self.degrees, "degrees must hold only integers", integer=True))
         if self.degrees.shape != (self.n_nodes,) or self.degrees.min() < 0:
             raise ValueError("degrees must be a nonnegative vector of length n_nodes")
         if not 0.0 < self.scale < math.inf:
@@ -163,10 +148,9 @@ class SbmModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        _freeze_array(self, "assignments", integer=True)
-        _freeze_array(self, "block_probs")
-        check_assignments(self.assignments, self.k, self.n_nodes)
-        bp = self.block_probs
+        assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
+        bp = read_array(self.block_probs, "block_probs must hold only finite numbers")
+        self._set(assignments=assignments, k=k, block_probs=bp)
         if bp.shape != (self.k, self.k):
             raise ValueError("block_probs must be k x k")
         if bp.min() < 0 or bp.max() > 1 or not np.array_equal(bp, bp.T):
@@ -200,16 +184,15 @@ class DcsbmModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        _freeze_array(self, "assignments", integer=True)
-        _freeze_array(self, "degree_share")
-        _freeze_array(self, "block_rates")
-        check_assignments(self.assignments, self.k, self.n_nodes)
+        assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
+        share = read_array(self.degree_share, "degree_share must hold only finite numbers")
+        br = read_array(self.block_rates, "block_rates must hold only finite numbers")
+        self._set(assignments=assignments, k=k, degree_share=share, block_rates=br)
         if self.degree_share.shape != (self.n_nodes,) or self.degree_share.min() < 0:
             raise ValueError("degree_share must be a nonnegative vector of length n_nodes")
         sums = np.bincount(self.assignments, weights=self.degree_share, minlength=self.k)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValueError("degree_share must sum to 1 within every community")
-        br = self.block_rates
         if br.shape != (self.k, self.k) or br.min() < 0 or not np.array_equal(br, br.T):
             raise ValueError("block_rates must be a symmetric nonnegative k x k matrix")
         if self.mode not in DCSBM_MODES:

@@ -1,14 +1,17 @@
-"""One reader and one writer for JSON documents declared as dataclasses.
+"""One reader and one writer for JSON documents declared as dataclasses, and
+the package's one rule for integers (`integer`, `read_array`).
 
 A dataclass's fields, in declared order, are the keys of its JSON object.
 Nested dataclasses are objects, `tuple[X, ...]` fields are arrays of X, and
 `np.ndarray` fields are (possibly nested) arrays whose element types the
-dataclass itself checks. Every error is a ConfigError naming the key path.
+dataclass itself checks (`read_array`). Every error is a ConfigError naming
+the key path.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -16,10 +19,52 @@ import numpy as np
 
 from .errors import ConfigError
 
+
+def _admits(kind, t: type) -> bool:
+    """Whether values of type `t` are of the numeric `kind`; booleans never are."""
+    return issubclass(t, kind) and not issubclass(t, bool)
+
+
+def integer(value, name: str, minimum: int | None = None) -> int:
+    """`value` as an int, by the package's one integer rule: a `numbers.Integral`
+    (numpy's included) that is not a boolean, and not below `minimum` if given.
+    Anything else (1.9, True, np.bool_(True), "1", None) is a ValueError naming
+    `name`; nothing is rounded or cast."""
+    if not _admits(numbers.Integral, type(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}")
+    return int(value)
+
+
+def read_array(value, message: str, integer: bool = False) -> np.ndarray:
+    """A read-only int64 (with `integer`) or float copy of the array `value`, or
+    ValueError(`message`) unless every element is an integer (else a finite real).
+    A numpy array is judged by its dtype alone, and an empty one passes; lists
+    and tuples element by element, so booleans, strings, nulls and ragged
+    nesting are refused."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        if isinstance(value, np.ndarray):
+            ok = value.size == 0 or value.dtype.kind in ("iu" if integer else "iuf")
+        else:
+            value = np.array(value, dtype=object)
+            ok = all(_admits(kind, t) for t in set(map(type, value.flat)))
+        if ok:
+            out = value.astype(np.int64 if integer else float)
+            if integer or np.all(np.isfinite(out)):
+                out.setflags(write=False)
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(message)
+
+
 _SCALARS = {
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    int: (lambda v: _admits(numbers.Integral, type(v)), "an integer"),
     float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
 }
 

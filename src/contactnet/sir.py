@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import MeanCurves
+from .schema import integer, read_array
 
 ORACLE_MAX_NODES = 8
 ORACLE_MAX_STEPS = 6
@@ -37,10 +38,8 @@ class SirParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.initial_infectious < 0:
-            raise ValueError("initial_infectious must be nonnegative")
+        for name in ("steps", "initial_infectious"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
 
 
 class Trajectory(NamedTuple):
@@ -51,13 +50,18 @@ class Trajectory(NamedTuple):
     r_counts: np.ndarray
 
 
+def _initial_indices(nodes, n: int) -> np.ndarray:
+    """The distinct node indices (integers in 0..n-1) in the iterable `nodes`, sorted."""
+    init = np.unique(read_array(list(nodes), "initial nodes must be integers", integer=True))
+    if init.size and (init[0] < 0 or init[-1] >= n):
+        raise ValueError("initial node index out of range")
+    return init
+
+
 def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
     n = g.n_nodes
     if initial_nodes is not None:
-        init = np.unique(np.asarray(list(initial_nodes), dtype=np.int64))
-        if init.size and (init.min() < 0 or init.max() >= n):
-            raise ValueError("initial node index out of range")
-        return init
+        return _initial_indices(initial_nodes, n)
     if params.initial_infectious == 1:
         # the bounded draw choice(n, 1, replace=False) makes, from the same bits,
         # at a fifth of its cost; a numpy scalar has .size and indexes like an array
@@ -204,9 +208,7 @@ def exact_sir_expected_curves(g: Graph, params: SirParams, initial_set) -> MeanC
             f"exact enumeration is limited to N <= {ORACLE_MAX_NODES} "
             f"and steps <= {ORACLE_MAX_STEPS}"
         )
-    init = set(int(v) for v in initial_set)
-    if any(v < 0 or v >= n for v in init):
-        raise ValueError("initial node index out of range")
+    init = set(_initial_indices(initial_set, n).tolist())
     neighbors = [tuple(int(x) for x in g.neighbors(v)) for v in range(n)]
     beta = params.infection_probability
     gamma = params.recovery_probability

@@ -109,7 +109,7 @@ def test_criterion_1_fit_exactness():
             positive = int(np.count_nonzero(g.degrees))
             k = int(rng.integers(1, min(6, positive) + 1))
             assign = random_partition(rng, g, k, need_degree=True)
-            part = Partition.from_assignments(g, assign)
+            part = Partition(assign, k)
             observed = block_counts(g, part)[0]
 
             sbm = fit_sbm(g, part)
@@ -132,7 +132,7 @@ def test_criterion_2_likelihood_nesting():
             n = int(rng.integers(5, 61))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
             k = int(rng.integers(1, min(5, n) + 1))
-            part = Partition.from_assignments(g, random_partition(rng, g, k))
+            part = Partition(random_partition(rng, g, k), k)
             ll_er = log_likelihood_per_pair(fit_er(g), g)
             ll_sbm = log_likelihood_per_pair(fit_sbm(g, part), g)
             assert ll_sbm >= ll_er - 1e-12

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactnet import (
     Graph,
@@ -59,7 +59,8 @@ def test_graph_refuses_endpoints_that_are_not_integers(edges):
 def test_graph_accepts_empty_and_any_integer_endpoints():
     for empty in ([], (), np.empty((0, 2)), np.empty(0, dtype=float)):
         assert Graph(3, empty).n_edges == 0
-    for edges in ([(2, 0)], np.array([[2, 0]], dtype=np.uint8), np.array([[0, 2]], dtype=np.int32)):
+    for edges in ([(2, 0)], iter([(2, 0)]), np.array([[2, 0]], dtype=np.uint8),
+                  np.array([[0, 2]], dtype=np.int32)):
         g = Graph(3, edges)
         assert g.edges.tolist() == [[0, 2]] and g.edges.dtype == np.int64
 
@@ -195,6 +196,35 @@ def test_attendance_loader_matches_a_brute_force_reference(records):
         attendees = {p for e, p in records if e == event}
         cliques |= {frozenset((a, b)) for a in attendees for b in attendees if a != b}
     assert _label_pairs(g) == cliques and g.n_edges == len(cliques)
+
+
+def _padded_one_by_one(labels, declared):
+    """The %N padding as load_edge_list once spelled it: one label at a time."""
+    labels = list(labels)
+    taken = set(labels)
+    for i in range(len(labels), declared):
+        name = str(i)
+        while name in taken:
+            name = "_" + name
+        labels.append(name)
+        taken.add(name)
+    return tuple(labels)
+
+
+# labels that collide with padding names and with each other's padded forms
+_DIGIT_LABELS = st.builds(lambda m, i: "_" * m + str(i), st.integers(0, 3), st.integers(0, 15)) \
+    | st.sampled_from(["a", "07", "-1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DIGIT_LABELS, unique=True, max_size=10), st.integers(0, 30))
+@example(["5", "_5", "__5", "a"], 3)
+def test_header_padding_matches_the_label_by_label_loop(labels, extra):
+    # a chain of edges makes the labels appear in list order; one label alone cannot
+    labels = labels if len(labels) > 1 else []
+    declared = len(labels) + extra
+    lines = [f"%N {declared}\n"] + [f"{a} {b}\n" for a, b in zip(labels, labels[1:])]
+    assert load_edge_list(lines).labels == _padded_one_by_one(labels, declared)
 
 
 def test_csv_loaders_reject_missing_columns():
