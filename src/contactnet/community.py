@@ -106,10 +106,15 @@ class SpectralConfig:
             math.isfinite(self.regularization) and self.regularization >= 0
         ):
             raise ValueError("regularization must be finite and nonnegative")
-        for name in ("k_max", "k_fixed", "kmeans_restarts", "kmeans_max_iters", "seed"):
-            value = getattr(self, name)
-            if value is not None or name not in ("k_max", "k_fixed"):
-                object.__setattr__(self, name, integer(value, name, 0 if name == "seed" else 1))
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max", integer(self.k_max, "k_max", 1))
+        if self.k_fixed is not None:
+            object.__setattr__(self, "k_fixed", integer(self.k_fixed, "k_fixed", 1))
+        object.__setattr__(self, "kmeans_restarts",
+                           integer(self.kmeans_restarts, "kmeans_restarts", 1))
+        object.__setattr__(self, "kmeans_max_iters",
+                           integer(self.kmeans_max_iters, "kmeans_max_iters", 1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         if self.eigenvalue_order not in EIGENVALUE_ORDERS:
             raise ValueError(f"unknown eigenvalue_order {self.eigenvalue_order!r}")
 
@@ -148,8 +153,7 @@ def select_k_eigengap(eigenvalues, k_max: int) -> int:
     k in 1..k_max maximizing |lambda_k| - |lambda_{k+1}|, ties toward smaller k.
     """
     vals = np.abs(np.asarray(eigenvalues, dtype=float))
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = integer(k_max, "k_max", 1)
     if k_max >= len(vals):
         raise ValueError("k_max must be smaller than the number of eigenvalues")
     gaps = vals[:k_max] - vals[1:k_max + 1]

@@ -52,7 +52,7 @@ class Graph:
         if n_nodes > MAX_NODES:
             raise ValueError(f"n_nodes must be at most {MAX_NODES}")
         edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
-        arr = read_array(edges, "edge endpoints must be integers", integer=True)
+        arr = read_array(edges, "edge endpoints must be integers", integer=True, copy=False)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:

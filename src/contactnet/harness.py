@@ -224,8 +224,7 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, traject
     file, every run's run,t,S,I,R rows are written to it as soon as the run
     ends; nothing is opened unless the arguments are valid.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    runs = integer(runs, "runs", 1)
     if any(s < 0 for s in seed_path):
         raise ValueError("seeds must be nonnegative")
     check_runnable(g, params)

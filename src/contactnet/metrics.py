@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .graph import _read_csv_rows
+from .schema import integer
 
 CURVE_SUM_TOL = 1e-12
 IDENTITY_TOL = 1e-12
@@ -39,10 +40,10 @@ class MeanCurves:
         object.__setattr__(self, "fractions", frac)
         if frac.ndim != 2 or frac.shape[0] != 3 or frac.shape[1] == 0:
             raise ValueError("fractions must be 3 rows (S, I, R) of a positive length")
+        object.__setattr__(self, "n_runs", integer(self.n_runs, "n_runs", 0))
+        object.__setattr__(self, "population", integer(self.population, "population"))
         if self.population < 1:
             raise ValueError("population must be positive")
-        if self.n_runs < 0:
-            raise ValueError("n_runs must be nonnegative")
         if not np.all(np.isfinite(frac)):
             raise ValueError("curve entries must be finite")
         if frac.min() < -1e-9 or frac.max() > 1 + 1e-9:
@@ -56,8 +57,7 @@ class MeanCurves:
 
 def counts_to_curves(totals: np.ndarray, runs: int, population: int) -> MeanCurves:
     """Mean curves from S/I/R count sums (rows of `totals`) over `runs` runs."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    runs = integer(runs, "runs", 1)
     return MeanCurves(totals / (runs * population), runs, population)
 
 

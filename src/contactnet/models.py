@@ -39,15 +39,10 @@ class EdgeProbabilityModel:
     variant = ""
 
     def __post_init__(self):
-        self._set(n_nodes=integer(self.n_nodes, "n_nodes"))
+        object.__setattr__(self, "n_nodes", integer(self.n_nodes, "n_nodes"))
         if self.n_nodes < 1:
             raise ValueError("model needs at least one node")
         check_labels(self.labels, self.n_nodes)
-
-    def _set(self, **values) -> None:
-        """Replace fields of this frozen instance by their checked values."""
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities of the pairs i < j in lexicographic order (read-only, cached)."""
@@ -96,7 +91,7 @@ class ErModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        self._set(p=float(self.p))
+        object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
 
@@ -119,7 +114,8 @@ class DegreeModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        self._set(scale=float(self.scale), degrees=read_array(
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "degrees", read_array(
             self.degrees, "degrees must hold only integers", integer=True))
         if self.degrees.shape != (self.n_nodes,) or self.degrees.min() < 0:
             raise ValueError("degrees must be a nonnegative vector of length n_nodes")
@@ -150,7 +146,9 @@ class SbmModel(EdgeProbabilityModel):
         super().__post_init__()
         assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
         bp = read_array(self.block_probs, "block_probs must hold only finite numbers")
-        self._set(assignments=assignments, k=k, block_probs=bp)
+        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "block_probs", bp)
         if bp.shape != (self.k, self.k):
             raise ValueError("block_probs must be k x k")
         if bp.min() < 0 or bp.max() > 1 or not np.array_equal(bp, bp.T):
@@ -187,7 +185,10 @@ class DcsbmModel(EdgeProbabilityModel):
         assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
         share = read_array(self.degree_share, "degree_share must hold only finite numbers")
         br = read_array(self.block_rates, "block_rates must hold only finite numbers")
-        self._set(assignments=assignments, k=k, degree_share=share, block_rates=br)
+        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "degree_share", share)
+        object.__setattr__(self, "block_rates", br)
         if self.degree_share.shape != (self.n_nodes,) or self.degree_share.min() < 0:
             raise ValueError("degree_share must be a nonnegative vector of length n_nodes")
         sums = np.bincount(self.assignments, weights=self.degree_share, minlength=self.k)

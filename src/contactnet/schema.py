@@ -38,12 +38,13 @@ def integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def read_array(value, message: str, integer: bool = False) -> np.ndarray:
+def read_array(value, message: str, integer: bool = False, copy: bool = True) -> np.ndarray:
     """A read-only int64 (with `integer`) or float copy of the array `value`, or
     ValueError(`message`) unless every element is an integer (else a finite real).
     A numpy array is judged by its dtype alone, and an empty one passes; lists
     and tuples element by element, so booleans, strings, nulls and ragged
-    nesting are refused."""
+    nesting are refused. `copy=False` returns an array of the right dtype as
+    it is, for callers that only read it to build their own."""
     kind = numbers.Integral if integer else numbers.Real
     try:
         if isinstance(value, np.ndarray):
@@ -52,9 +53,10 @@ def read_array(value, message: str, integer: bool = False) -> np.ndarray:
             value = np.array(value, dtype=object)
             ok = all(_admits(kind, t) for t in set(map(type, value.flat)))
         if ok:
-            out = value.astype(np.int64 if integer else float)
+            out = value.astype(np.int64 if integer else float, copy=copy)
             if integer or np.all(np.isfinite(out)):
-                out.setflags(write=False)
+                if copy:
+                    out.setflags(write=False)
                 return out
     except (ValueError, OverflowError):
         pass

@@ -187,6 +187,7 @@ def test_spectral_cluster_more_communities_than_cliques_is_a_valid_partition():
     g = disjoint_cliques([5, 5, 5, 5])
     part = spectral_cluster(g, SpectralConfig(k_fixed=6))
     assert part.k == 6
+    assert part.assignments.shape == (g.n_nodes,)
     assert sorted(set(part.assignments.tolist())) == list(range(6))
 
 

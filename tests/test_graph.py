@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ def test_graph_accepts_empty_and_any_integer_endpoints():
                   np.array([[0, 2]], dtype=np.int32)):
         g = Graph(3, edges)
         assert g.edges.tolist() == [[0, 2]] and g.edges.dtype == np.int64
+
+
+def test_graph_builds_from_int64_edges_without_copying_them():
+    # sampled graphs arrive as sorted int64 pairs; the keys, their sort and the
+    # rebuilt pairs need 2.5 edge arrays, and a copy of the input would add one
+    n = 600
+    rows, cols = np.triu_indices(n, 1)
+    edges = np.column_stack((rows, cols)).astype(np.int64)
+    for writable in (True, False):
+        edges.setflags(write=writable)
+        tracemalloc.start()
+        try:
+            g = Graph(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_edges == len(edges) and not g.edges.flags.writeable
+        assert edges.flags.writeable == writable
+        assert peak < 3 * edges.nbytes, peak / edges.nbytes
 
 
 def test_adjacency_and_neighbors():

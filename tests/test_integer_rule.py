@@ -12,10 +12,12 @@ from contactnet import (
     ErModel,
     ExperimentConfig,
     Graph,
+    MeanCurves,
     Partition,
     SbmModel,
     SirParams,
     SpectralConfig,
+    counts_to_curves,
     simulate_sir,
 )
 from contactnet.sir import exact_sir_expected_curves
@@ -24,6 +26,7 @@ ONE = object()  # where an entry point's template takes the integer under test
 
 _HALVES = [[0.5, 0.5], [0.5, 0.5]]
 _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+_ALL_SUSCEPTIBLE = np.array([[1.0], [0.0], [0.0]])
 
 # entry points that take one integer; each builds a valid object from 1
 SCALARS = {
@@ -40,6 +43,9 @@ SCALARS = {
     **{f"ensemble-{name}": lambda v, name=name: EnsembleConfig(**{name: v})
        for name in ("actual_runs", "sampled_networks", "runs_per_network")},
     "master-seed": lambda v: ExperimentConfig(DatasetSpec("graph.edges"), master_seed=v),
+    "curves-n-runs": lambda v: MeanCurves(_ALL_SUSCEPTIBLE, v, 1),
+    "curves-population": lambda v: MeanCurves(_ALL_SUSCEPTIBLE, 1, v),
+    "counts-to-curves-runs": lambda v: counts_to_curves(_ALL_SUSCEPTIBLE, v, 1),
 }
 
 # entry points that take integer arrays: a builder and the array it is given,
