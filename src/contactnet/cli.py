@@ -122,7 +122,7 @@ def cmd_sample(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     for i in range(args.count):
         sampled = sample_graph(model, derived_rng(args.seed, i))
-        path = os.path.join(args.output_dir, f"{args.prefix}_{i:03d}.edges")
+        path = os.path.join(args.output_dir, f"sample_{i:03d}.edges")
         with open(path, "w", encoding="utf-8") as fh:
             write_edge_list(sampled, fh)
         print(path)
@@ -131,8 +131,7 @@ def cmd_sample(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _given(SirParams, args)
-    from_model = args.from_model or args.path.endswith(".json")
-    if from_model:
+    if args.path.endswith(".json"):
         model = load_model(args.path)
         g = sample_graph(model, derived_rng(args.seed, 0))
         ensemble_seed = derived_seed(args.seed, 1)
@@ -210,15 +209,12 @@ def build_parser() -> _Parser:
     sp.add_argument("model", help="model JSON file")
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=seed, default=0)
-    sp.add_argument("--output-dir", default=".")
-    sp.add_argument("--prefix", default="sample")
+    sp.add_argument("--output-dir", default=".", help="where sample_NNN.edges are written")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("simulate", help="run an epidemic ensemble, print mean curves")
-    sp.add_argument("path", help="graph file, or model JSON to sample one network from")
+    sp.add_argument("path", help="graph file, or model file (*.json) to sample one network from")
     sp.add_argument("--format", choices=DATASET_FORMATS, default=DatasetSpec.format)
-    sp.add_argument("--from-model", action="store_true",
-                    help="treat the input as a saved model (implied by a .json suffix)")
     sir = sp.add_argument_group("epidemic", argument_default=argparse.SUPPRESS)
     sir.add_argument("--infection-prob", "--beta", dest="infection_probability", type=float,
                      help="per-contact transmission probability")

@@ -12,7 +12,6 @@ from .errors import FitError, NumericError
 from .graph import Graph
 from .schema import integer, read_array
 
-SYMMETRY_TOL = 1e-10
 ZERO_ROW_TOL = 1e-12
 EIGENVALUE_ORDERS = ("abs", "value")
 
@@ -120,9 +119,8 @@ class SpectralConfig:
 
 
 def regularized_laplacian(g: Graph, regularization: float) -> np.ndarray:
-    """D^{-1/2} A D^{-1/2} with D = diag(degree + regularization)."""
-    if regularization < 0:
-        raise ValueError("regularization must be nonnegative")
+    """D^{-1/2} A D^{-1/2} with D = diag(degree + regularization), regularization >= 0.
+    Symmetric bit for bit: lap[i, j] and lap[j, i] are the same IEEE product."""
     scale = g.degrees.astype(float) + regularization
     if np.any(scale == 0):
         raise NumericError(
@@ -136,12 +134,8 @@ def regularized_laplacian(g: Graph, regularization: float) -> np.ndarray:
 
 
 def symmetric_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
+    """Eigenvalues (descending) and orthonormal eigenvector columns of the symmetric
+    float array `m`, such as regularized_laplacian builds; eigh reads its lower triangle."""
     values, vectors = np.linalg.eigh(m)
     return values[::-1], vectors[:, ::-1]
 
@@ -153,7 +147,6 @@ def select_k_eigengap(eigenvalues, k_max: int) -> int:
     k in 1..k_max maximizing |lambda_k| - |lambda_{k+1}|, ties toward smaller k.
     """
     vals = np.abs(np.asarray(eigenvalues, dtype=float))
-    k_max = integer(k_max, "k_max", 1)
     if k_max >= len(vals):
         raise ValueError("k_max must be smaller than the number of eigenvalues")
     gaps = vals[:k_max] - vals[1:k_max + 1]
@@ -207,19 +200,16 @@ def _kmeans_once(points: np.ndarray, k: int, max_iters: int, rng: np.random.Gene
 
 
 def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, *, rng) -> np.ndarray:
-    """Lloyd's k-means with k-means++ seeding; best of `restarts` runs by WCSS.
+    """Lloyd's k-means of the (n, d) `points` with k-means++ seeding; best of `restarts`
+    (>= 1) runs of at most `max_iters` (>= 1) Lloyd steps each, by WCSS.
 
     Deterministic given `rng`, a Generator or a seed, which is required; None
     is refused, as it would draw from OS entropy. Restart r draws from a
     stream derived from (seed, r), and ties in WCSS go to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-D array")
     if k < 1 or k > len(points):
         raise ValueError("k must be between 1 and the number of points")
-    if restarts < 1 or max_iters < 1:
-        raise ValueError("restarts and max_iters must be at least 1")
     if rng is None:
         raise TypeError("kmeans needs an rng: None would draw from OS entropy")
     rng = np.random.default_rng(rng)

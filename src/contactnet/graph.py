@@ -17,6 +17,7 @@ from .errors import ParseError, UndefinedStatisticError
 from .schema import integer, read_array
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
+_DECIMAL = re.compile(r"-?[0-9]{1,19}")  # an integer as the package writes one, int64-sized
 _HEADER_TAG = "%N"
 # the largest node count whose edge keys i * n + j fit in int64
 MAX_NODES = 3_037_000_499
@@ -196,10 +197,9 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
                 raise ParseError("duplicate node-count header", lineno)
             if len(tokens) != 2:
                 raise ParseError(f"header needs exactly one count, got {len(tokens) - 1} tokens", lineno)
-            try:
-                declared = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"node count {tokens[1]!r} is not an integer", lineno) from None
+            if not _DECIMAL.fullmatch(tokens[1]):
+                raise ParseError(f"node count {tokens[1]!r} is not an integer", lineno)
+            declared = int(tokens[1])
             if declared < 0:
                 raise ParseError("node count must be nonnegative", lineno)
             if declared > MAX_NODES:

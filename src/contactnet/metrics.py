@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .graph import _read_csv_rows
+from .graph import _DECIMAL, _read_csv_rows
 from .schema import integer
 
 CURVE_SUM_TOL = 1e-12
@@ -166,16 +166,14 @@ def read_curves_csv(lines) -> MeanCurves:
         if "=" in token:
             key, _, val = token.partition("=")
             meta[key] = val
-    try:
-        population = int(meta["population"])
-        n_runs = int(meta["n_runs"])
-    except (KeyError, ValueError):
-        raise ParseError("header must carry integer population= and n_runs=", 1) from None
+    population, n_runs = meta.get("population", ""), meta.get("n_runs", "")
+    if not (_DECIMAL.fullmatch(population) and _DECIMAL.fullmatch(n_runs)):
+        raise ParseError("header must carry integer population= and n_runs=", 1)
     rows = []
     for lineno, (t, *fractions) in _read_csv_rows(it, ("t", "s", "i", "r"), exact=True,
                                                   header_line=2):
         try:
-            if int(t) == len(rows):
+            if t == str(len(rows)):  # the row index, as write_curves_csv writes it
                 rows.append([float(x) for x in fractions])
                 continue
         except ValueError:
@@ -184,6 +182,6 @@ def read_curves_csv(lines) -> MeanCurves:
     if not rows:
         raise ParseError("curves file holds no rows", 3)
     try:
-        return MeanCurves(np.transpose(rows), n_runs, population)
+        return MeanCurves(np.transpose(rows), int(n_runs), int(population))
     except ValueError as exc:
         raise ParseError(str(exc)) from None

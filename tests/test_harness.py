@@ -41,10 +41,12 @@ from contactnet import (
     load_config,
     load_model,
     read_curves_csv,
+    read_graph,
     run_experiment,
     write_edge_list,
 )
 import contactnet.harness as harness
+from contactnet.community import regularized_laplacian
 from contactnet.models import model_to_dict
 
 TWO_CLIQUES = Graph(
@@ -375,8 +377,7 @@ def test_cli_sample_and_simulate_round_trip(dataset, tmp_path, capsys):
 
     assert cli.main(["sample", str(model_path), "--count", "2", "--seed", "5",
                      "--output-dir", str(tmp_path / "nets")]) == 0
-    listed = sorted(os.listdir(tmp_path / "nets"))
-    assert [name.endswith(".edges") for name in listed] == [True, True]
+    assert sorted(os.listdir(tmp_path / "nets")) == ["sample_000.edges", "sample_001.edges"]
     capsys.readouterr()
 
     curves_out = tmp_path / "curves.csv"
@@ -390,6 +391,14 @@ def test_cli_sample_and_simulate_round_trip(dataset, tmp_path, capsys):
     # a fitted model file can stand in for the graph
     assert cli.main(["simulate", str(model_path), "--runs", "10",
                      "--steps", "4", "--seed", "1"]) == 0
+    capsys.readouterr()
+
+    # the file names and the model-file test are fixed: no flag changes them
+    for argv in (["sample", str(model_path), "--prefix", "x"],
+                 ["simulate", str(model_path), "--from-model"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_evaluate_self_comparison_is_zero(dataset, tmp_path, capsys):
@@ -946,14 +955,25 @@ def test_cli_stats_reads_n_a_for_what_a_graph_with_no_nodes_leaves_undefined(tmp
 @pytest.mark.parametrize("graph, argv, code, message", [
     ("%N 3\n%N 3\n", ["stats", "data"], 2, "line 2: duplicate node-count header"),
     ("%N -1\n", ["stats", "data"], 2, "line 1: node count must be nonnegative"),
+    ("%N 3_0\n", ["stats", "data"], 2, "line 1: node count '3_0' is not an integer"),
+    ("%N \u0663\n", ["stats", "data"], 2, "line 1: node count '\u0663' is not an integer"),
+    ("%N +3\n", ["stats", "data"], 2, "line 1: node count '+3' is not an integer"),
+    ("# population=1_0 n_runs=+2\nt,s,i,r\n0,1.0,0.0,0.0\n", ["evaluate", "data", "data"], 2,
+     "line 1: header must carry integer population= and n_runs="),
+    (_CURVES_META + "t,s,i,r\n0,1.0,0.0,0.0\n0_1,1.0,0.0,0.0\n", ["evaluate", "data", "data"],
+     2, "line 4: time indices must be consecutive from 0"),
+    (_CURVES_META + "t,s,i,r\n\u0660,1.0,0.0,0.0\n", ["evaluate", "data", "data"], 2,
+     "line 3: time indices must be consecutive from 0"),
     ("a a\n", ["stats", "data"], 2, "line 1: self-loop on node 'a'"),
     ("%N 1\n", ["fit", "data", "--model", "er"], 2, "er model needs at least 2 nodes"),
     ("a b\n", ["sample", "model.json", "--count", "0"], 1, "--count must be at least 1"),
     ("a b\n", ["experiment", "negative_seed.json"], 1, "master_seed must be nonnegative"),
-], ids=["duplicate-header", "negative-node-count", "self-loop", "one-node-fit-er",
+], ids=["duplicate-header", "negative-node-count", "underscored-node-count",
+        "arabic-indic-node-count", "signed-node-count", "curves-header-spellings",
+        "underscored-time-index", "arabic-indic-time-index", "self-loop", "one-node-fit-er",
         "zero-sample-count", "negative-master-seed"])
 def test_cli_refuses_malformed_input_with_one_error_line(tmp_path, graph, argv, code, message):
-    (tmp_path / "data").write_text(graph)
+    (tmp_path / "data").write_text(graph, encoding="utf-8")
     (tmp_path / "model.json").write_text(json.dumps(_MODEL_DOCS["er"]))
     (tmp_path / "negative_seed.json").write_text(
         json.dumps({"dataset": {"path": "data"}, "master_seed": -1}))
@@ -1102,8 +1122,19 @@ def test_benchmark_workload_outputs_match_the_baseline_digests(tmp_path, monkeyp
         assert digests == baseline["workloads"][name]["digests"], name
 
 
+@pytest.mark.parametrize("name", ["museum201", "sparse1200", "dieout_traj"])
+def test_workload_laplacians_are_symmetric_bit_for_bit(tmp_path, monkeypatch, name):
+    # symmetric_eigendecomposition relies on this instead of checking it
+    monkeypatch.syspath_prepend(PERFBENCH_DIR)
+    import workloads
+    workloads.write_inputs(workloads.WORKLOADS[name], 0, tmp_path)
+    g = read_graph(str(tmp_path / workloads.WORK_DIR / name / "graph.edges"))
+    lap = regularized_laplacian(g, 2 * g.n_edges / g.n_nodes)  # the default regularization
+    assert np.array_equal(lap, lap.T)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: a degree-0 node's all-zero embedding row "
+                   reason="ROADMAP item 3: a degree-0 node's all-zero embedding row "
                           "joins a community decided by the last bits of eigh's output")
 def test_spectral_partitions_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
     # the graphs are read from the files an experiment reads, because the reader
