@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return read_curves_csv(fh)
 
     area = area_between(load(args.actual), load(args.candidate), quadrature=args.quadrature)

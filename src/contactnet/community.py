@@ -11,6 +11,7 @@ import numpy as np
 from .errors import FitError, NumericError
 from .graph import Graph
 from .schema import integer, read_array
+from .seeding import derived_rng
 
 ZERO_ROW_TOL = 1e-12
 EIGENVALUE_ORDERS = ("abs", "value")
@@ -203,16 +204,15 @@ def kmeans(points, k: int, restarts: int = 10, max_iters: int = 100, *, rng) -> 
     """Lloyd's k-means of the (n, d) `points` with k-means++ seeding; best of `restarts`
     (>= 1) runs of at most `max_iters` (>= 1) Lloyd steps each, by WCSS.
 
-    Deterministic given `rng`, a Generator or a seed, which is required; None
-    is refused, as it would draw from OS entropy. Restart r draws from a
-    stream derived from (seed, r), and ties in WCSS go to the earlier restart.
+    Deterministic given `rng`, a numpy Generator (the kind `derived_rng` makes),
+    which is required; None is refused, as it would draw from OS entropy. Restart
+    r draws from `rng`'s r-th spawned stream, and ties in WCSS go to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
     if k < 1 or k > len(points):
         raise ValueError("k must be between 1 and the number of points")
     if rng is None:
         raise TypeError("kmeans needs an rng: None would draw from OS entropy")
-    rng = np.random.default_rng(rng)
     best_assign = None
     best_wcss = np.inf
     for stream in rng.spawn(restarts):
@@ -262,7 +262,7 @@ def spectral_cluster(g: Graph, config: SpectralConfig = SpectralConfig()) -> Par
         k,
         restarts=config.kmeans_restarts,
         max_iters=config.kmeans_max_iters,
-        rng=np.random.default_rng(config.seed),
+        rng=derived_rng(config.seed),
     )
     # number the communities in the order of their smallest member index
     _, first, inverse = np.unique(assign, return_index=True, return_inverse=True)

@@ -320,7 +320,7 @@ def read_graph(path: str, fmt: str = "edge_list") -> Graph:
     reader = READERS.get(fmt)
     if reader is None:
         raise ValueError(f"unknown graph format {fmt!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return reader(fh)
 
 

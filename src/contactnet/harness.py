@@ -176,7 +176,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
@@ -225,8 +225,7 @@ def simulate_ensemble(g: Graph, params: SirParams, runs: int, seed_path, traject
     ends; nothing is opened unless the arguments are valid.
     """
     runs = integer(runs, "runs", 1)
-    if any(s < 0 for s in seed_path):
-        raise ValueError("seeds must be nonnegative")
+    seed_path = tuple(integer(s, "seed", 0) for s in seed_path)
     check_runnable(g, params)
     totals = np.zeros((3, params.steps + 1), dtype=np.int64)
     # row views, so that each run adds its three rows without stacking them first

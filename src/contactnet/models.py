@@ -311,9 +311,8 @@ def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
 
     One uniform per pair, in lexicographic pair order; the pair is an edge
     when its uniform is below the pair's probability. So the result is a pure
-    function of (model, seed). Accepts a Generator or a seed.
+    function of (model, seed). `rng` is a numpy Generator, the kind `derived_rng` makes.
     """
-    rng = np.random.default_rng(rng)
     probs = model.pair_probabilities()
     kept = np.flatnonzero(rng.random(len(probs)) < probs)
     starts = _pair_starts(model.n_nodes)
@@ -367,7 +366,7 @@ def save_model(model: EdgeProbabilityModel, path: str) -> None:
 
 
 def load_model(path: str) -> EdgeProbabilityModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return model_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:

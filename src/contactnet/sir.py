@@ -90,7 +90,7 @@ def check_runnable(g: Graph, params: SirParams, initial_nodes=None) -> None:
 
 
 def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajectory:
-    """One stochastic trajectory. Accepts a Generator or a seed.
+    """One stochastic trajectory drawn from `rng`, a numpy Generator (`derived_rng` makes one).
 
     The initial infectious set is drawn uniformly without replacement unless
     initial_nodes pins it. Stream contract: the run draws one
@@ -102,7 +102,6 @@ def simulate_sir(g: Graph, params: SirParams, rng, initial_nodes=None) -> Trajec
     the trajectory is a pure function of (g, params, seed).
     """
     check_runnable(g, params, initial_nodes)
-    rng = np.random.default_rng(rng)
     n = g.n_nodes
     init = _resolve_initial(g, params, rng, initial_nodes)
 

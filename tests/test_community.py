@@ -156,12 +156,12 @@ def test_kmeans_recovers_separated_blobs():
 
 def test_kmeans_degenerate_k():
     points = np.arange(10, dtype=float).reshape(5, 2)
-    assert set(kmeans(points, 1, rng=0)) == {0}
-    assert sorted(kmeans(points, 5, rng=0)) == [0, 1, 2, 3, 4]
+    assert set(kmeans(points, 1, rng=np.random.default_rng(0))) == {0}
+    assert sorted(kmeans(points, 5, rng=np.random.default_rng(0))) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
-        kmeans(points, 6, rng=0)
+        kmeans(points, 6, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        kmeans(points, 0, rng=0)
+        kmeans(points, 0, rng=np.random.default_rng(0))
 
 
 def test_kmeans_needs_an_rng():

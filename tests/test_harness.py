@@ -410,6 +410,39 @@ def test_cli_evaluate_self_comparison_is_zero(dataset, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.0"
 
 
+BOM = "\ufeff"  # a UTF-8 byte-order mark, as some editors write at the start of a file
+
+
+def test_cli_reads_past_a_byte_order_mark(dataset, tmp_path, capsys):
+    edges = tmp_path / "bom.edges"
+    edges.write_text(BOM + "a b\nb c\nc a\n", encoding="utf-8")
+    assert cli.main(["stats", str(edges)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "n_nodes: 3" in out and "clustering_average_local: 1.0" in out
+    contacts = tmp_path / "bom.csv"
+    contacts.write_text(BOM + "time,node_a,node_b\n1,a,b\n2,b,c\n", encoding="utf-8")
+    assert cli.main(["stats", str(contacts), "--format", "contacts"]) == 0
+    assert "n_nodes: 3" in capsys.readouterr().out.splitlines()
+    plain, marked = tmp_path / "c.csv", tmp_path / "bom_c.csv"
+    assert cli.main(["simulate", dataset, "--runs", "4", "--steps", "3",
+                     "--curves-out", str(plain)]) == 0
+    marked.write_text(BOM + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(marked), str(plain)]) == 0
+    assert capsys.readouterr().out == "0.0\n"
+
+
+def test_config_and_model_files_read_past_a_byte_order_mark(dataset, tmp_path):
+    config = small_config(dataset, str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(BOM + json.dumps(config_to_dict(config)), encoding="utf-8")
+    assert config_to_dict(load_config(str(path))) == config_to_dict(config)
+    model = fit_model(TWO_CLIQUES, ModelSpec("degree"))
+    path = tmp_path / "model.json"
+    path.write_text(BOM + json.dumps(model_to_dict(model)), encoding="utf-8")
+    assert model_to_dict(load_model(str(path))) == model_to_dict(model)
+
+
 def test_cli_experiment_end_to_end(dataset, tmp_path, capsys):
     cfg = {
         "dataset": {"path": dataset},

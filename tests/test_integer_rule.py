@@ -57,8 +57,8 @@ ARRAYS = {
     "dcsbm-assignments": (lambda a: DcsbmModel(2, ("a", "b"), a, 2, [1.0, 1.0], _IDENTITY,
                                                "exact"), [0, ONE]),
     "partition-labels": (lambda a: Partition(a, 2), [0, ONE]),
-    "initial-nodes": (lambda a: simulate_sir(Graph(3), SirParams(steps=1), 0, initial_nodes=a),
-                      [ONE]),
+    "initial-nodes": (lambda a: simulate_sir(Graph(3), SirParams(steps=1), np.random.default_rng(0),
+                                             initial_nodes=a), [ONE]),
     "oracle-initial-set": (lambda a: exact_sir_expected_curves(Graph(3), SirParams(steps=1), a),
                            [ONE]),
 }

@@ -260,11 +260,11 @@ def test_model_documents_in_the_old_key_order_still_load():
     model = model_from_dict(doc)
     assert np.array_equal(probability_matrix(model),
                           probability_matrix(fit_dcsbm(DC_GRAPH, DC_PART)))
-    assert sample_graph(model, 3).n_nodes == 4
+    assert sample_graph(model, np.random.default_rng(3)).n_nodes == 4
     # an integer stands for a float and is read as one
     zero = model_from_dict({"variant": "er", "n_nodes": 3, "labels": ["a", "b", "c"], "p": 0})
     assert zero.p == 0.0 and isinstance(zero.p, float)
-    assert sample_graph(zero, 0).n_edges == 0
+    assert sample_graph(zero, np.random.default_rng(0)).n_edges == 0
 
 
 def test_model_documents_are_read_strictly():
@@ -295,7 +295,7 @@ def test_model_documents_are_read_strictly():
 def test_model_classes_validate_their_fields():
     labels = ("a", "b", "c")
     # float fields are coerced, so an integer probability samples like a float one
-    assert sample_graph(ErModel(3, labels, 1), 0).n_edges == 3
+    assert sample_graph(ErModel(3, labels, 1), np.random.default_rng(0)).n_edges == 3
     assert DegreeModel(3, labels, 1, [1, 1, 0], "chung_lu").scale == 1.0
     for build in [
         lambda: ErModel(3, ("a", "a", "b"), 0.5),  # duplicate labels

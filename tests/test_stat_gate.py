@@ -15,7 +15,7 @@ ASSIGN = np.arange(N) % 3
 P_ACROSS = 623 / (40 * 3 * 2211 + 3 * 67 * 67)
 BLOCK_PROBS = np.where(np.eye(3, dtype=bool), 40 * P_ACROSS, P_ACROSS)
 PLANTED = SbmModel(N, tuple(map(str, range(N))), ASSIGN, 3, BLOCK_PROBS)
-GRAPH = sample_graph(PLANTED, 2024)
+GRAPH = sample_graph(PLANTED, np.random.default_rng(2024))
 PARTITION = Partition(ASSIGN, 3)
 PARAMS = SirParams(infection_probability=0.04, recovery_probability=0.08, initial_infectious=3)
 
