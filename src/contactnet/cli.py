@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ContactNetError as exc:
         code, message = exc.exit_code, exc
+    except BrokenPipeError:  # the reader of stdout left, as `head` does: stop as a filter
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop what is unflushed
+        return 141  # 128 + SIGPIPE, the status of a filter that SIGPIPE ends
     except (OSError, UnicodeDecodeError) as exc:  # unreadable input
         code, message = DataError.exit_code, exc
     except (TypeError, ValueError) as exc:

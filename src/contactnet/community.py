@@ -5,23 +5,23 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .errors import FitError, NumericError
 from .graph import Graph
-from .schema import integer, read_array
+from .schema import Declared, read_array
 from .seeding import derived_rng
 
 ZERO_ROW_TOL = 1e-12
 EIGENVALUE_ORDERS = ("abs", "value")
 
 
-def read_assignments(assignments, k, n_nodes: int | None = None) -> tuple[np.ndarray, int]:
-    """`assignments` as a read-only int64 copy and `k` as an int: a non-empty vector
-    of integer labels in 0..k-1 using every label, of length `n_nodes` if given."""
+def read_assignments(assignments, k: int, n_nodes: int | None = None) -> np.ndarray:
+    """`assignments` as a read-only int64 copy: a non-empty vector of integer
+    labels in 0..k-1 using every label, of length `n_nodes` if given."""
     assign = read_array(assignments, "community labels must be integers", integer=True)
-    k = integer(k, "k")
     if assign.ndim != 1 or (n_nodes is not None and assign.size != n_nodes):
         raise ValueError("assignments must be a vector of one label per node")
     if assign.size == 0:
@@ -30,11 +30,11 @@ def read_assignments(assignments, k, n_nodes: int | None = None) -> tuple[np.nda
         raise ValueError("community index out of range")
     if len(np.unique(assign)) != k:
         raise ValueError("every community must be non-empty")
-    return assign, k
+    return assign
 
 
 @dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Declared):
     """Community assignment of N nodes into k groups: what clustering decides.
 
     A partition is its assignment vector and nothing about any graph. The
@@ -46,10 +46,9 @@ class Partition:
     k: int
 
     def __post_init__(self):
+        super().__post_init__()
         # a read-only copy, so the caller's array stays writable
-        assign, k = read_assignments(self.assignments, self.k)
-        object.__setattr__(self, "assignments", assign)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "assignments", read_assignments(self.assignments, self.k))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -85,7 +84,7 @@ def write_partition_csv(partition: Partition, labels, stream) -> None:
 
 
 @dataclass(frozen=True)
-class SpectralConfig:
+class SpectralConfig(Declared):
     """Knobs for spectral_cluster. None values fall back to size-dependent defaults.
 
     regularization defaults to the average degree; k_max defaults to
@@ -94,29 +93,19 @@ class SpectralConfig:
     """
 
     regularization: float | None = None
-    k_max: int | None = None
-    k_fixed: int | None = None
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
-    seed: int = 0
-    eigenvalue_order: str = "abs"
+    k_max: Annotated[int, 1] | None = None
+    k_fixed: Annotated[int, 1] | None = None
+    kmeans_restarts: Annotated[int, 1] = 10
+    kmeans_max_iters: Annotated[int, 1] = 100
+    seed: Annotated[int, 0] = 0
+    eigenvalue_order: Literal[EIGENVALUE_ORDERS] = "abs"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.regularization is not None and not (
             math.isfinite(self.regularization) and self.regularization >= 0
         ):
             raise ValueError("regularization must be finite and nonnegative")
-        if self.k_max is not None:
-            object.__setattr__(self, "k_max", integer(self.k_max, "k_max", 1))
-        if self.k_fixed is not None:
-            object.__setattr__(self, "k_fixed", integer(self.k_fixed, "k_fixed", 1))
-        object.__setattr__(self, "kmeans_restarts",
-                           integer(self.kmeans_restarts, "kmeans_restarts", 1))
-        object.__setattr__(self, "kmeans_max_iters",
-                           integer(self.kmeans_max_iters, "kmeans_max_iters", 1))
-        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
-        if self.eigenvalue_order not in EIGENVALUE_ORDERS:
-            raise ValueError(f"unknown eigenvalue_order {self.eigenvalue_order!r}")
 
 
 def regularized_laplacian(g: Graph, regularization: float) -> np.ndarray:

@@ -9,12 +9,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Annotated, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, UndefinedStatisticError
-from .schema import integer, read_array
+from .schema import Declared, integer, read_array
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 _DECIMAL = re.compile(r"-?[0-9]{1,19}")  # an integer as the package writes one, int64-sized
@@ -35,7 +35,7 @@ def check_labels(labels: tuple[str, ...], n_nodes: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Declared):
     """Immutable undirected graph with dense 0-based node indices.
 
     Edges are stored canonically as a read-only, lexicographically sorted
@@ -44,12 +44,13 @@ class Graph:
     labels, index -> label; by default each node's index.
     """
 
-    n_nodes: int
+    n_nodes: Annotated[int, 0]
     edges: np.ndarray = ()
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n_nodes = integer(self.n_nodes, "n_nodes", 0)
+        super().__post_init__()
+        n_nodes = self.n_nodes
         if n_nodes > MAX_NODES:
             raise ValueError(f"n_nodes must be at most {MAX_NODES}")
         edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
@@ -72,14 +73,10 @@ class Graph:
         arr.setflags(write=False)
 
         if self.labels is None:
-            labels = tuple(str(i) for i in range(n_nodes))
+            object.__setattr__(self, "labels", tuple(str(i) for i in range(n_nodes)))
         else:
-            labels = tuple(map(str, self.labels))
-            check_labels(labels, n_nodes)
-
-        object.__setattr__(self, "n_nodes", n_nodes)
+            check_labels(self.labels, n_nodes)
         object.__setattr__(self, "edges", arr)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_edges(self) -> int:

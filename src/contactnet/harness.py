@@ -13,8 +13,9 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .models import (
     log_likelihood_per_pair,
     sample_graph,
 )
-from .schema import from_json, integer, to_json, write_json
+from .schema import Declared, from_json, integer, to_json, write_json
 from .seeding import derived_rng
 from .sir import TRAJECTORY_HEADER, SirParams, check_runnable, simulate_sir, write_trajectory_rows
 
@@ -71,32 +72,23 @@ NAME_MAX = 255
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(Declared):
     path: str
-    format: str = "edge_list"
-
-    def __post_init__(self):
-        if self.format not in DATASET_FORMATS:
-            raise ValueError(f"unknown dataset format {self.format!r}")
+    format: Literal[DATASET_FORMATS] = "edge_list"
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Declared):
     """One model to evaluate; `name` (default: the variant) labels its outputs."""
 
-    variant: str
+    variant: Literal[MODEL_VARIANTS]
     name: str = ""
-    degree_mode: str = "exact_sum"
-    dcsbm_mode: str = "exact"
+    degree_mode: Literal[DEGREE_MODES] = "exact_sum"
+    dcsbm_mode: Literal[DCSBM_MODES] = "exact"
     spectral: SpectralConfig = SpectralConfig()
 
     def __post_init__(self):
-        if self.variant not in MODEL_VARIANTS:
-            raise ValueError(f"unknown model variant {self.variant!r}")
-        if self.degree_mode not in DEGREE_MODES:
-            raise ValueError(f"unknown degree mode {self.degree_mode!r}")
-        if self.dcsbm_mode not in DCSBM_MODES:
-            raise ValueError(f"unknown dcsbm mode {self.dcsbm_mode!r}")
+        super().__post_init__()
         if not self.name:
             object.__setattr__(self, "name", self.variant)
         if self.name == "actual":
@@ -107,29 +99,17 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    actual_runs: int = 5000
-    sampled_networks: int = 100
-    runs_per_network: int = 50
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name, 1))
+class EnsembleConfig(Declared):
+    actual_runs: Annotated[int, 1] = 5000
+    sampled_networks: Annotated[int, 1] = 100
+    runs_per_network: Annotated[int, 1] = 50
 
 
 @dataclass(frozen=True)
-class MetricsConfig:
-    quadrature: str = "trapezoid"
-    clustering_mode: str = "average_local"
-    area_averaging: str = "pooled"
-
-    def __post_init__(self):
-        if self.quadrature not in QUADRATURES:
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.clustering_mode not in CLUSTERING_MODES:
-            raise ValueError(f"unknown clustering mode {self.clustering_mode!r}")
-        if self.area_averaging not in AREA_AVERAGING:
-            raise ValueError(f"unknown area averaging {self.area_averaging!r}")
+class MetricsConfig(Declared):
+    quadrature: Literal[QUADRATURES] = "trapezoid"
+    clustering_mode: Literal[CLUSTERING_MODES] = "average_local"
+    area_averaging: Literal[AREA_AVERAGING] = "pooled"
 
 
 def _default_models() -> tuple[ModelSpec, ...]:
@@ -137,19 +117,20 @@ def _default_models() -> tuple[ModelSpec, ...]:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Declared):
     """The experiment config; fields, nesting and order are those of its JSON form."""
 
     dataset: DatasetSpec
     models: tuple[ModelSpec, ...] = field(default_factory=_default_models)
     sir: SirParams = SirParams()
     ensemble: EnsembleConfig = EnsembleConfig()
-    master_seed: int = 0
+    master_seed: Annotated[int, 0] = 0
     output_dir: str = "results"
     metrics: MetricsConfig = MetricsConfig()
     save_trajectories: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.models:
             raise ValueError("at least one model must be configured")
         names = [spec.name for spec in self.models]
@@ -158,7 +139,6 @@ class ExperimentConfig:
         if self.save_trajectories and "actual.csv" in names:
             raise ValueError("model name 'actual.csv' collides with the actual-graph "
                              "trajectory file; rename the model")
-        object.__setattr__(self, "master_seed", integer(self.master_seed, "master_seed", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .errors import DataError, ParseError
 from .graph import _DECIMAL, _read_csv_rows
-from .schema import integer
+from .schema import Declared, integer
 
 CURVE_SUM_TOL = 1e-12
 IDENTITY_TOL = 1e-12
@@ -21,7 +22,7 @@ QUADRATURES = ("trapezoid", "rectangle")
 
 
 @dataclass(frozen=True)
-class MeanCurves:
+class MeanCurves(Declared):
     """Mean S/I/R fractions over time for one ensemble.
 
     fractions has rows S, I and R and one column per time step; n_runs is the
@@ -30,18 +31,17 @@ class MeanCurves:
     """
 
     fractions: np.ndarray
-    n_runs: int
+    n_runs: Annotated[int, 0]
     population: int
 
     def __post_init__(self):
+        super().__post_init__()
         # a copy, so freezing it leaves the caller's array writable
         frac = np.array(self.fractions, dtype=float, order="C")
         frac.setflags(write=False)
         object.__setattr__(self, "fractions", frac)
         if frac.ndim != 2 or frac.shape[0] != 3 or frac.shape[1] == 0:
             raise ValueError("fractions must be 3 rows (S, I, R) of a positive length")
-        object.__setattr__(self, "n_runs", integer(self.n_runs, "n_runs", 0))
-        object.__setattr__(self, "population", integer(self.population, "population"))
         if self.population < 1:
             raise ValueError("population must be positive")
         if not np.all(np.isfinite(frac)):

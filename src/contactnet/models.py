@@ -13,13 +13,14 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
 from .community import Partition, block_counts, read_assignments
 from .errors import FitError, NumericError, ParseError
 from .graph import Graph, check_labels
-from .schema import from_json, integer, read_array, to_json, write_json
+from .schema import Declared, from_json, read_array, to_json, write_json
 
 DEGREE_SUM_TOL = 1e-9
 DEGREE_MODES = ("exact_sum", "chung_lu")
@@ -27,7 +28,7 @@ DCSBM_MODES = ("exact", "plugin")
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeProbabilityModel:
+class EdgeProbabilityModel(Declared):
     """Fields and behavior shared by all variants. Each variant declares its own
     parameters after `n_nodes` and `labels`, and states its formula in `_rows()`,
     which returns row(i): the raw values of the pairs (i, j) for j > i, in ascending j.
@@ -39,7 +40,7 @@ class EdgeProbabilityModel:
     variant = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "n_nodes", integer(self.n_nodes, "n_nodes"))
+        super().__post_init__()
         if self.n_nodes < 1:
             raise ValueError("model needs at least one node")
         check_labels(self.labels, self.n_nodes)
@@ -108,7 +109,7 @@ class DegreeModel(EdgeProbabilityModel):
 
     scale: float
     degrees: np.ndarray
-    mode: str
+    mode: Literal[DEGREE_MODES]
 
     variant = "degree"
 
@@ -121,8 +122,6 @@ class DegreeModel(EdgeProbabilityModel):
             raise ValueError("degrees must be a nonnegative vector of length n_nodes")
         if not 0.0 < self.scale < math.inf:
             raise ValueError("scale must be finite and positive")
-        if self.mode not in DEGREE_MODES:
-            raise ValueError(f"unknown degree mode {self.mode!r}")
 
     def parameter_count(self) -> int:
         return self.n_nodes
@@ -144,10 +143,9 @@ class SbmModel(EdgeProbabilityModel):
 
     def __post_init__(self):
         super().__post_init__()
-        assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
+        assignments = read_assignments(self.assignments, self.k, self.n_nodes)
         bp = read_array(self.block_probs, "block_probs must hold only finite numbers")
         object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "block_probs", bp)
         if bp.shape != (self.k, self.k):
             raise ValueError("block_probs must be k x k")
@@ -176,17 +174,16 @@ class DcsbmModel(EdgeProbabilityModel):
     k: int
     degree_share: np.ndarray
     block_rates: np.ndarray
-    mode: str
+    mode: Literal[DCSBM_MODES]
 
     variant = "dcsbm"
 
     def __post_init__(self):
         super().__post_init__()
-        assignments, k = read_assignments(self.assignments, self.k, self.n_nodes)
+        assignments = read_assignments(self.assignments, self.k, self.n_nodes)
         share = read_array(self.degree_share, "degree_share must hold only finite numbers")
         br = read_array(self.block_rates, "block_rates must hold only finite numbers")
         object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "degree_share", share)
         object.__setattr__(self, "block_rates", br)
         if self.degree_share.shape != (self.n_nodes,) or self.degree_share.min() < 0:
@@ -196,8 +193,6 @@ class DcsbmModel(EdgeProbabilityModel):
             raise ValueError("degree_share must sum to 1 within every community")
         if br.shape != (self.k, self.k) or br.min() < 0 or not np.array_equal(br, br.T):
             raise ValueError("block_rates must be a symmetric nonnegative k x k matrix")
-        if self.mode not in DCSBM_MODES:
-            raise ValueError(f"unknown dcsbm mode {self.mode!r}")
 
     def parameter_count(self) -> int:
         return 2 * self.n_nodes + self.k * (self.k + 1) // 2

@@ -1,19 +1,22 @@
-"""One reader and one writer for JSON documents declared as dataclasses, and
-the package's one rule for integers (`integer`, `read_array`).
+"""The package's one type rule for declared fields (`admit`, `Declared`) and for
+integers (`integer`, `read_array`), and one reader and one writer for JSON
+documents declared as dataclasses.
 
 A dataclass's fields, in declared order, are the keys of its JSON object.
 Nested dataclasses are objects, `tuple[X, ...]` fields are arrays of X, and
 `np.ndarray` fields are (possibly nested) arrays whose element types the
-dataclass itself checks (`read_array`). Every error is a ConfigError naming
-the key path.
+dataclass itself checks (`read_array`). Every `from_json` error is a
+ConfigError naming the key path.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import MISSING, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from functools import cache, partial
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,9 +69,51 @@ def read_array(value, message: str, integer: bool = False, copy: bool = True) ->
 _SCALARS = {
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
-    int: (lambda v: _admits(numbers.Integral, type(v)), "an integer"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    float: (lambda v: isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                               and abs(v) <= sys.float_info.max), "a number"),
 }
+
+
+# the declared field types of a dataclass, `Annotated` bounds kept, read once per class
+declared_types = cache(partial(get_type_hints, include_extras=True))
+
+
+def admit(hint, value, name: str):
+    """`value` as a field of declared type `hint`, or a one-line ValueError naming `name`.
+    `int` is read by `integer` (`Annotated[int, m]` with the minimum m), a `Literal`
+    admits its strings, `X | None` None, and `tuple[X, ...]` a tuple or list of X,
+    as a tuple. `str`, `bool` and `float` admit their JSON kinds (a float field takes
+    an int that a float can hold, as given, but no boolean), and any other class its instances."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is int or origin is Annotated:
+        return integer(value, name, *args[1:])
+    if origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+        raise ValueError(f"{name} must be one of {', '.join(args)}, got {value!r}")
+    if origin is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a tuple or a list, got {value!r}")
+        # an item of exactly the declared class passes as it is, with no name built for it
+        return tuple(item if type(item) is args[0] else admit(args[0], item, f"{name}[{i}]")
+                     for i, item in enumerate(value))
+    if type(None) in args:  # `X | None` gives (X, NoneType)
+        return None if value is None else admit(args[0], value, name)
+    check, expected = _SCALARS.get(hint) or (lambda v: isinstance(v, hint), f"a {hint.__name__}")
+    if not check(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+class Declared:
+    """Base of the frozen dataclasses whose fields hold to their declared types:
+    each field is read by `admit` when the object is built, except `np.ndarray`
+    fields, which the class reads itself (`read_array`)."""
+
+    def __post_init__(self):
+        for name, hint in declared_types(type(self)).items():
+            if hint is not np.ndarray:
+                object.__setattr__(self, name, admit(hint, getattr(self, name), name))
 
 
 def from_json(hint, value, context: str):
@@ -83,7 +128,7 @@ def from_json(hint, value, context: str):
         for f in declared:
             if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{context}.{f.name} is required")
-        hints = get_type_hints(hint)
+        hints = declared_types(hint)
         kwargs = {name: from_json(hints[name], item, f"{context}.{name}")
                   for name, item in value.items()}
         try:
@@ -97,13 +142,10 @@ def from_json(hint, value, context: str):
             return value
         return tuple(from_json(get_args(hint)[0], item, f"{context}[{i}]")
                      for i, item in enumerate(value))
-    kind, *rest = get_args(hint) or (hint,)  # `X | None` gives (X, NoneType)
-    if value is None and type(None) in rest:
-        return None
-    check, expected = _SCALARS[kind]
-    if not check(value):
-        raise ConfigError(f"{context} must be {expected}, got {value!r}")
-    return value
+    try:
+        return admit(hint, value, context)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def write_json(doc, stream) -> None:

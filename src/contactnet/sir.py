@@ -13,33 +13,31 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .graph import Graph
 from .metrics import MeanCurves
-from .schema import integer, read_array
+from .schema import Declared, read_array
 
 ORACLE_MAX_NODES = 8
 ORACLE_MAX_STEPS = 6
 
 
 @dataclass(frozen=True)
-class SirParams:
+class SirParams(Declared):
     infection_probability: float = 0.025
     recovery_probability: float = 0.025
-    steps: int = 30
-    initial_infectious: int = 1
+    steps: Annotated[int, 0] = 30
+    initial_infectious: Annotated[int, 0] = 1
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("infection_probability", "recovery_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("steps", "initial_infectious"):
-            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
 
 
 class Trajectory(NamedTuple):
@@ -69,9 +67,7 @@ def _resolve_initial(g: Graph, params: SirParams, rng, initial_nodes):
     return rng.choice(n, size=params.initial_infectious, replace=False)
 
 
-# typed: a beta of another numeric type that compares equal (a float32, say)
-# computes its own table, in its own arithmetic
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _infection_table(beta, max_degree: int) -> np.ndarray:
     """Infection probability by number of infectious neighbours, 0 .. max_degree
     (entry 0 is 0), shared read-only by every run with this beta and degree bound."""

@@ -679,7 +679,7 @@ def test_config_errors_name_the_key_path():
         ({"models": [{"variant": "sbm", "spectral": {"regularization": float("nan")}}]},
          "invalid config.models[0].spectral: regularization must be finite and nonnegative"),
         ({"models": [{"variant": "sbm", "spectral": {"seed": -1}}]},
-         "invalid config.models[0].spectral: seed must be nonnegative"),
+         "config.models[0].spectral.seed must be nonnegative"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(dict(base, **overrides))
@@ -1050,13 +1050,32 @@ ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(ROOT_DIR, "src")
 
 
+def _child_env(**env):
+    """The environment of a fresh interpreter: the package on its path, plus `env`."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        SRC_DIR, os.environ.get("PYTHONPATH")))), **env)
+
+
 def _run_python(code, cwd, timeout=120, **env):
     """A fresh interpreter running `code` in `cwd` with the package on its path
     and the extra environment variables `env`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        SRC_DIR, os.environ.get("PYTHONPATH")))), **env)
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, timeout=timeout,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_child_env(**env),
+                          timeout=timeout, capture_output=True, text=True)
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # the reader leaves after one line, as `head -1` does, with 20 000 rows still to come
+    (tmp_path / "t.edges").write_text("0 1\n1 2\n2 0\n2 3\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contactnet", "simulate", "t.edges", "--steps", "20000",
+         "--runs", "1"], cwd=tmp_path, env=_child_env(), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "# population=4 n_runs=1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # no `error:` line, no traceback, and not the exit code of unreadable input
+    assert (proc.wait(timeout=120), err) == (141, "")
 
 
 def test_every_command_runs_without_scipy(dataset, tmp_path):

@@ -278,7 +278,7 @@ def test_model_documents_are_read_strictly():
         ("scale", math.inf, "invalid model: scale must be finite and positive"),
         ("degrees", [2.9, 1, 1, 1], "invalid model: degrees must hold only integers"),
         ("degrees", [True, 1, 1, 1], "invalid model: degrees must hold only integers"),
-        ("mode", "plugin", "invalid model: unknown degree mode 'plugin'"),
+        ("mode", "plugin", "model.mode must be one of exact_sum, chung_lu, got 'plugin'"),
         ("extra", 1, "unknown key(s) in model: extra"),
     ]:
         with pytest.raises(ConfigError) as info:
@@ -530,7 +530,7 @@ _IDENTITY_RATES = [[1.0, 0.0], [0.0, 1.0]]
                         "exact"),
      "block_rates must be a symmetric nonnegative k x k matrix"),
     (lambda: DcsbmModel(2, ("a", "b"), [0, 1], 2, [1.0, 1.0], _IDENTITY_RATES, "fast"),
-     "unknown dcsbm mode 'fast'"),
+     "mode must be one of exact, plugin, got 'fast'"),
 ], ids=["node-counts-disagree", "one-node-likelihood", "no-nodes", "float-node-count",
         "boolean-node-count", "repeated-label",
         "block-probs-not-k-by-k", "short-degree-share", "asymmetric-block-rates",
